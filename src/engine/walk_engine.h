@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -73,6 +74,18 @@ struct PathEntry {
   vertex_id_t vertex = 0;
 
   friend bool operator==(const PathEntry&, const PathEntry&) = default;
+};
+
+// Every walker's path in one CSR blob: walker w visited
+// vertices[offsets[w] .. offsets[w + 1]) in step order.
+struct FlatPaths {
+  std::vector<uint64_t> offsets;      // num_walkers + 1 entries, offsets[0] == 0
+  std::vector<vertex_id_t> vertices;  // all paths, concatenated by walker id
+
+  size_t num_paths() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const vertex_id_t> Path(size_t w) const {
+    return {vertices.data() + offsets[w], static_cast<size_t>(offsets[w + 1] - offsets[w])};
+  }
 };
 
 // Locality sort of each node's active walker batch by current vertex before
@@ -718,37 +731,83 @@ class WalkEngine {
     return true;
   }
 
-  // The raw path log of the last Run in canonical (walker, step) order
-  // (requires options.collect_paths). Deterministic-simulation tests
-  // compare this representation byte for byte.
-  std::vector<PathEntry> TakePathEntries() {
-    std::vector<PathEntry> all;
+  // Assembles the last Run's paths (requires options.collect_paths) into
+  // *out with one two-pass counting scatter over the node logs: pass 1
+  // counts each walker's entries into CSR offsets, pass 2 writes every
+  // vertex at offsets[walker] + step. No sort and no per-walker allocation;
+  // *out's buffers are reused. Aborts unless each walker's log holds every
+  // step below its entry count exactly once.
+  void TakeFlatPaths(FlatPaths* out) {
+    std::vector<uint64_t>& offsets = out->offsets;
+    std::vector<vertex_id_t>& vertices = out->vertices;
+    offsets.assign(static_cast<size_t>(num_walkers_) + 1, 0);
     for (auto& node : nodes_) {
       MutexLock lock(node->merge_mutex);  // post-Run, uncontended
-      all.insert(all.end(), node->path_log.begin(), node->path_log.end());
+      for (const PathEntry& entry : node->path_log) {
+        KK_CHECK(entry.walker < num_walkers_);
+        offsets[entry.walker + 1] += 1;
+      }
+    }
+    for (size_t w = 1; w < offsets.size(); ++w) {
+      offsets[w] += offsets[w - 1];
+    }
+    // kInvalidVertex marks a slot not yet written; no graph vertex has it.
+    vertices.assign(offsets.back(), kInvalidVertex);
+    for (auto& node : nodes_) {
+      MutexLock lock(node->merge_mutex);  // post-Run, uncontended
+      for (const PathEntry& entry : node->path_log) {
+        const uint64_t begin = offsets[entry.walker];
+        const uint64_t count = offsets[entry.walker + 1] - begin;
+        const bool fresh = entry.step < count && vertices[begin + entry.step] == kInvalidVertex;
+        KK_CHECK_MSG(fresh && entry.vertex != kInvalidVertex,
+                     "non-contiguous path log for walker %llu: step %u (vertex %u) %s "
+                     "among its %llu log entries; a step record was dropped or "
+                     "double-delivered upstream",
+                     static_cast<unsigned long long>(entry.walker),
+                     static_cast<unsigned>(entry.step), static_cast<unsigned>(entry.vertex),
+                     entry.step >= count ? "is out of range" : "is logged twice",
+                     static_cast<unsigned long long>(count));
+        vertices[begin + entry.step] = entry.vertex;
+      }
       node->path_log.clear();
     }
-    std::sort(all.begin(), all.end(), [](const PathEntry& a, const PathEntry& b) {
-      return a.walker != b.walker ? a.walker < b.walker : a.step < b.step;
-    });
-    return all;
   }
 
-  // Reassembles walk sequences from the recorded path log (requires
-  // options.collect_paths). Paths are indexed by walker id.
+  // The raw path log node n recorded during the last Run, in arrival order
+  // (requires options.collect_paths; the Take* calls empty it). Read it only
+  // between Runs, like node_observability below.
+  const std::vector<PathEntry>& node_path_log(node_rank_t n) const
+      KK_NO_THREAD_SAFETY_ANALYSIS {
+    return nodes_[n]->path_log;
+  }
+
+  // The raw path log of the last Run in canonical (walker, step) order
+  // (requires options.collect_paths): a view over TakeFlatPaths.
+  // Deterministic-simulation tests compare this representation byte for byte.
+  std::vector<PathEntry> TakePathEntries() {
+    FlatPaths flat;
+    TakeFlatPaths(&flat);
+    std::vector<PathEntry> entries;
+    entries.reserve(flat.vertices.size());
+    for (size_t w = 0; w < flat.num_paths(); ++w) {
+      step_t step = 0;
+      for (vertex_id_t v : flat.Path(w)) {
+        entries.push_back({static_cast<walker_id_t>(w), step++, v});
+      }
+    }
+    return entries;
+  }
+
+  // The last Run's walk sequences indexed by walker id (requires
+  // options.collect_paths): a copy of TakeFlatPaths into one vector per
+  // walker.
   std::vector<std::vector<vertex_id_t>> TakePaths() {
-    std::vector<PathEntry> all = TakePathEntries();
-    std::vector<std::vector<vertex_id_t>> paths(num_walkers_);
-    for (const auto& entry : all) {
-      KK_CHECK(entry.walker < paths.size());
-      KK_CHECK_MSG(paths[entry.walker].size() == entry.step,
-                   "non-contiguous path log for walker %llu: expected next step "
-                   "%zu but log has step %u (vertex %u); a step record was "
-                   "dropped or double-delivered upstream",
-                   static_cast<unsigned long long>(entry.walker),
-                   paths[entry.walker].size(), static_cast<unsigned>(entry.step),
-                   static_cast<unsigned>(entry.vertex));
-      paths[entry.walker].push_back(entry.vertex);
+    FlatPaths flat;
+    TakeFlatPaths(&flat);
+    std::vector<std::vector<vertex_id_t>> paths(flat.num_paths());
+    for (size_t w = 0; w < paths.size(); ++w) {
+      std::span<const vertex_id_t> path = flat.Path(w);
+      paths[w].assign(path.begin(), path.end());
     }
     return paths;
   }

@@ -29,6 +29,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -196,6 +197,9 @@ class WalkService {
 
   // --- Index lifecycle --------------------------------------------------
 
+  // The index build walks under master seed HashCombine64(seed, this salt).
+  static constexpr uint64_t kIndexSeedSalt = 0x6b6b2d696e646578ULL;  // "kk-index"
+
   // Precomputes segments_per_vertex walk prefixes per vertex by running the
   // service's own engine once (walker v*spv+s starts at v). The build uses a
   // master seed derived from the service seed, so index randomness and
@@ -219,29 +223,27 @@ class WalkService {
     spec.terminate_prob = options_.terminate_prob;
     engine_->Run(PprTransition<EdgeData>(), spec);
     engine_->set_seed(options_.seed);
-    std::vector<std::vector<vertex_id_t>> paths = engine_->TakePaths();
-
+    // The flat paths are the index's CSR as is: walker s is segment s.
+    FlatPaths paths;
+    engine_->TakeFlatPaths(&paths);
     uint64_t num_segments = static_cast<uint64_t>(num_v) * spv;
-    std::vector<uint64_t> offsets(num_segments + 1, 0);
-    std::vector<vertex_id_t> vertices;
+    KK_CHECK(paths.num_paths() == num_segments);
     std::vector<uint8_t> terminated(num_segments, 0);
     for (uint64_t s = 0; s < num_segments; ++s) {
-      const auto& path = paths[s];
-      KK_CHECK(!path.empty());
-      offsets[s + 1] = offsets[s] + path.size();
-      vertices.insert(vertices.end(), path.begin(), path.end());
+      const uint64_t length = paths.offsets[s + 1] - paths.offsets[s];
+      KK_CHECK(length != 0);
       // max_steps preempts the arrival coin, so a full-length path means the
       // walk was truncated (coin pending at the endpoint); anything shorter
       // genuinely ended (coin or dead end).
-      terminated[s] = path.size() < static_cast<size_t>(options_.segment_cap) + 1 ? 1 : 0;
+      terminated[s] = length < uint64_t{options_.segment_cap} + 1 ? 1 : 0;
     }
     SegmentIndexParams params;
     params.segments_per_vertex = spv;
     params.segment_cap = options_.segment_cap;
     params.terminate_prob = options_.terminate_prob;
     params.seed = options_.seed;
-    index_ = SegmentIndex::FromParts(params, num_v, std::move(offsets), std::move(vertices),
-                                     std::move(terminated));
+    index_ = SegmentIndex::FromParts(params, num_v, std::move(paths.offsets),
+                                     std::move(paths.vertices), std::move(terminated));
     index_build_seconds_ = timer.Seconds();
   }
 
@@ -496,8 +498,7 @@ class WalkService {
   }
 
  private:
-  static constexpr uint64_t kIndexSeedSalt = 0x6b6b2d696e646578ULL;  // "kk-index"
-  static constexpr uint64_t kLiveSalt = 0x6b6b2d6c697665ULL;         // "kk-live"
+  static constexpr uint64_t kLiveSalt = 0x6b6b2d6c697665ULL;  // "kk-live"
   // WalkerSpec::rng_stream values must stay below kDeployStream (2^62 - 1).
   static constexpr uint64_t kStreamMask = (uint64_t{1} << 61) - 1;
 
@@ -661,13 +662,13 @@ class WalkService {
       return cap != 0 && walker.step >= cap;
     };
     engine_->Run(PprTransition<EdgeData>(), spec);
-    std::vector<std::vector<vertex_id_t>> paths = engine_->TakePaths();
-    KK_CHECK(paths.size() == live->size());
+    engine_->TakeFlatPaths(&live_paths_);
+    KK_CHECK(live_paths_.num_paths() == live->size());
 
     for (size_t i = 0; i < live->size(); ++i) {
       const LiveWalk& lw = (*live)[i];
       QueryWork& w = (*work)[lw.work_idx];
-      const auto& path = paths[i];
+      std::span<const vertex_id_t> path = live_paths_.Path(i);
       KK_CHECK(!path.empty() && path.front() == lw.cur);
       delta->live_walks += 1;
       delta->live_walk_steps += path.size() - 1;
@@ -729,6 +730,8 @@ class WalkService {
   // mu_ — a serve_mu_ holder may take mu_, never the reverse.
   mutable Mutex serve_mu_;
   SegmentIndex index_ KK_GUARDED_BY(serve_mu_);
+  // Live-walk paths of the batch in flight; capacity persists across batches.
+  FlatPaths live_paths_ KK_GUARDED_BY(serve_mu_);
   double index_build_seconds_ KK_GUARDED_BY(serve_mu_) = 0.0;
 
   // Admission lock: queue, counters, latency, and the staged-index slot.

@@ -10,8 +10,11 @@
 // out (the #if !KK_OBS section asserts the accumulator is an empty type).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -22,10 +25,12 @@
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/obs/counters.h"
+#include "src/obs/histogram.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/testing/fault_injector.h"
+#include "src/util/rng.h"
 #include "tools/kk-metrics/check.h"
 
 namespace knightking {
@@ -700,6 +705,115 @@ TEST(TelemetryTest, LowerBoundPreAcceptanceCutsCostNotWalks) {
   // also saves query traffic.
   EXPECT_LT(s_with.queries_local + s_with.queries_remote,
             s_without.queries_local + s_without.queries_remote);
+}
+
+// --- LatencyHistogram --------------------------------------------------------
+
+// The log-linear buckets tile [0, 2^64) without gaps or overlaps, and every
+// bucket above the exact range is at most 1/16 as wide as its smallest value.
+TEST(LatencyHistogramTest, BucketsTileTheRangeAtOneSixteenthWidth) {
+  using H = obs::LatencyHistogram;
+  uint64_t expected_lower = 0;
+  for (size_t b = 0; b < H::kNumBuckets; ++b) {
+    const uint64_t lower = H::BucketLower(b);
+    const uint64_t last = lower + (H::BucketWidth(b) - 1);
+    ASSERT_EQ(lower, expected_lower) << "bucket " << b;
+    EXPECT_EQ(H::BucketOf(lower), b);
+    EXPECT_EQ(H::BucketOf(last), b);
+    if (b >= H::kSubBuckets) {
+      EXPECT_LE(H::BucketWidth(b) * H::kSubBuckets, lower) << "bucket " << b;
+    }
+    expected_lower = last + 1;  // wraps to 0 after the last bucket
+  }
+  EXPECT_EQ(expected_lower, 0u);
+  EXPECT_EQ(H::BucketOf(~uint64_t{0}), H::kNumBuckets - 1);
+}
+
+// Nearest-rank percentile of raw samples: the ceil(q * n)-th smallest.
+uint64_t ExactPercentile(std::vector<uint64_t> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  auto rank = static_cast<size_t>(std::ceil(q * static_cast<double>(samples.size()) - 1e-9));
+  rank = std::clamp<size_t>(rank, 1, samples.size());
+  return samples[rank - 1];
+}
+
+// Reported percentiles are bucket midpoints: within 1/32 of the exact
+// raw-sample percentile (half the 1/16 bucket width), for every level and
+// sample shape, including the shape the old log2 layout reported as 2^27 ns.
+TEST(LatencyHistogramTest, PercentilesWithinBucketErrorOfExact) {
+  CounterRng rng(0x68697374ULL);
+  struct Shape {
+    const char* name;
+    std::function<uint64_t()> draw;
+  };
+  const Shape shapes[] = {
+      {"log_uniform_100ns_10s",
+       [&] { return static_cast<uint64_t>(100.0 * std::pow(1e8, rng.NextDouble())); }},
+      {"exponential_2ms",
+       [&] { return static_cast<uint64_t>(-2e6 * std::log(1.0 - rng.NextDouble())); }},
+      {"band_100_110ms", [&] { return 100'000'000 + rng.Next() % 10'000'000; }},
+      {"tiny_0_40ns", [&] { return rng.Next() % 40; }},
+      {"constant", [] { return uint64_t{123'456'789}; }},
+  };
+  const double levels[] = {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{1000}, size_t{20000}}) {
+      std::vector<uint64_t> samples(n);
+      obs::LatencyHistogram h;
+      for (uint64_t& s : samples) {
+        s = shape.draw();
+        h.Record(s);
+      }
+      ASSERT_EQ(h.count(), n);
+      EXPECT_EQ(h.min(), *std::min_element(samples.begin(), samples.end()));
+      EXPECT_EQ(h.max(), *std::max_element(samples.begin(), samples.end()));
+      for (double q : levels) {
+        const uint64_t exact = ExactPercentile(samples, q);
+        const uint64_t got = h.PercentileNanos(q);
+        const uint64_t err = got > exact ? got - exact : exact - got;
+        EXPECT_LE(err * 32, exact) << "n=" << n << " q=" << q << " exact=" << exact
+                                   << " reported=" << got;
+      }
+    }
+  }
+  EXPECT_EQ(obs::LatencyHistogram{}.PercentileNanos(0.5), 0u);
+}
+
+// Merging shards gives the histogram of the union whatever the merge order
+// or the order samples arrived in — the property the serving determinism
+// tests rely on.
+TEST(LatencyHistogramTest, MergeIsIndependentOfOrder) {
+  CounterRng rng(0x6d657267ULL);
+  std::vector<uint64_t> samples(5000);
+  for (uint64_t& s : samples) {
+    s = static_cast<uint64_t>(1000.0 * std::pow(1e6, rng.NextDouble()));
+  }
+  obs::LatencyHistogram shards[3];
+  obs::LatencyHistogram whole;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    shards[i % 3].Record(samples[i]);
+    whole.Record(samples[i]);
+  }
+  std::vector<uint64_t> shuffled = samples;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  obs::LatencyHistogram reordered;
+  for (uint64_t s : shuffled) {
+    reordered.Record(s);
+  }
+  EXPECT_EQ(reordered, whole);
+
+  const int orders[][3] = {{0, 1, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}};
+  for (const auto& order : orders) {
+    obs::LatencyHistogram merged;
+    merged.Merge(obs::LatencyHistogram{});  // merging empty is the identity
+    for (int i : order) {
+      merged.Merge(shards[i]);
+    }
+    EXPECT_EQ(merged, whole);
+    EXPECT_EQ(merged.PercentileNanos(0.5), whole.PercentileNanos(0.5));
+    EXPECT_EQ(merged.PercentileNanos(0.99), whole.PercentileNanos(0.99));
+  }
 }
 
 }  // namespace
