@@ -166,8 +166,10 @@ struct WalkEngineOptions {
   FaultInjector* fault_injector = nullptr;
   // Supersteps a walker message may stay unacknowledged — or a state query
   // unanswered — before it is re-sent. A fault-free round trip completes
-  // within one superstep; 2 tolerates one delay fault without spurious
-  // retransmission.
+  // within one superstep; 2 tolerates one delay fault on a walker message or
+  // its ack without spurious retransmission. A state query's answer counts
+  // only in the superstep the query was issued for, so one delayed query or
+  // response always costs a re-issue.
   uint32_t retry_timeout = 2;
   // Bounded retries per message/query; exceeding this aborts the run (the
   // simulated network is considered failed, not slow).
@@ -360,9 +362,19 @@ class WalkEngine {
   // Validates the (options, transition) combination without running anything.
   // Returns the empty string when legal, else an actionable error message.
   // Long-lived callers (the serving layer) should reject configs here at
-  // admission time: Run() enforces the same rules with KK_CHECK, which
+  // admission time: Run() enforces exactly these rules with KK_CHECK, which
   // aborts the process on a bad config submitted mid-flight.
   std::string ValidateRun(const TransitionT& transition) const {
+    const bool checkpointing = options_.checkpoint_every > 0;
+    if (checkpointing && options_.checkpoint_path.empty()) {
+      return "checkpoint_every > 0 requires a checkpoint_path";
+    }
+    const FaultInjector* injector = options_.fault_injector;
+    if (!checkpointing && injector != nullptr &&
+        (injector->pending_crashes() != 0 || injector->pending_batch_crashes() != 0)) {
+      return "scheduled node crashes require checkpointing "
+             "(set WalkEngineOptions::checkpoint_every and checkpoint_path)";
+    }
     if (transition.IsDynamic() && !transition.dynamic_upper_bound) {
       return "dynamic transition requires a dynamic_upper_bound callback "
              "(the rejection envelope has no ceiling without it)";
@@ -418,13 +430,6 @@ class WalkEngine {
     ckpt_stats_ = CheckpointStats{};
     reliable_ = options_.fault_injector != nullptr;
     const bool checkpointing = options_.checkpoint_every > 0;
-    KK_CHECK_MSG(!checkpointing || !options_.checkpoint_path.empty(),
-                 "checkpoint_every > 0 requires a checkpoint_path");
-    KK_CHECK_MSG(checkpointing || !reliable_ ||
-                     (options_.fault_injector->pending_crashes() == 0 &&
-                      options_.fault_injector->pending_batch_crashes() == 0),
-                 "scheduled node crashes require checkpointing "
-                 "(set WalkEngineOptions::checkpoint_every)");
     include_local_faults_ =
         reliable_ && options_.fault_injector->policy().include_local;
     obs::TraceRecorder* const trace = options_.trace;
@@ -483,16 +488,16 @@ class WalkEngine {
       uint64_t outstanding = 0;  // parked trials + unacked walker messages
       for (auto& node : nodes_) {
         // Top-of-loop barrier: no phase in flight, but the analysis wants
-        // the lock for pending/in_flight/stats — it is uncontended here.
+        // the lock for parked/in_flight/stats — it is uncontended here.
         MutexLock lock(node->merge_mutex);
         active_total += node->active.size();
-        outstanding += node->pending.size() + node->in_flight.size();
+        outstanding += node->parked.size() + node->in_flight.size();
         steps_total += node->stats.steps;
       }
       if (active_total + outstanding == 0) {
         break;
       }
-      // Safety net: a second-order walk whose pending walkers all face
+      // Safety net: a second-order walk whose parked walkers all face
       // zero-probability candidates would otherwise spin forever. Exact
       // algorithms with Pd bounded away from zero never trip this.
       if (steps_total == last_progress_steps) {
@@ -615,8 +620,9 @@ class WalkEngine {
   // Restores engine state from a snapshot written by SaveCheckpoint. All
   // validation — header fields against this engine's configuration and
   // template instantiation, every declared count against the remaining file
-  // size, and the FNV-1a trailer — happens before any state is touched, so a
-  // corrupt or mismatched snapshot returns false and leaves the engine
+  // size, the FNV-1a trailer, and every walker id, vertex, edge index and
+  // node rank later code indexes with — happens before any state is touched,
+  // so a corrupt or mismatched snapshot returns false and leaves the engine
   // unchanged. Driver-only.
   bool LoadCheckpoint(const std::string& path) {
     BinaryFileReader r(path);
@@ -661,13 +667,6 @@ class WalkEngine {
     if (!r.ReadVec(&history)) {
       return false;
     }
-    struct NodeSnapshot {
-      SamplingStats stats;
-      std::vector<WalkerT> active;
-      std::vector<PendingTrial> pending;
-      std::vector<InFlightMove> in_flight;
-      std::vector<PathEntry> path_log;
-    };
     std::vector<NodeSnapshot> snap(options_.num_nodes);
     for (auto& ns : snap) {
       uint64_t stats_bytes = 0;
@@ -675,8 +674,8 @@ class WalkEngine {
           !r.ReadBytes(&ns.stats, sizeof(SamplingStats))) {
         return false;
       }
-      if (!r.ReadVec(&ns.active) || !r.ReadVec(&ns.pending) ||
-          !r.ReadVec(&ns.in_flight) || !r.ReadVec(&ns.path_log)) {
+      if (!r.ReadVec(&ns.active) || !r.ReadVec(&ns.parked) || !r.ReadVec(&ns.unacked) ||
+          !r.ReadVec(&ns.path_log) || !SnapshotContentValid(ns)) {
         return false;
       }
     }
@@ -685,8 +684,11 @@ class WalkEngine {
     if (!r.Read(&stored) || stored != computed || r.remaining() != 0) {
       return false;
     }
-    // Fully validated — commit. Parked trials and next_active are transients
-    // that are always empty at the top-of-loop cut the snapshot was taken at.
+    // Fully validated — commit. next_active is a transient that is always
+    // empty at the top-of-loop cut the snapshot was taken at. Parked trials
+    // take their section's order, so each one's slot is its index there;
+    // in-transit queries never survive a restore (RecoverFromCrash wipes the
+    // mailboxes), so no response can address an older slot.
     superstep_ = h.superstep;
     walker_progress_ = std::move(progress);
     active_history_ = std::move(history);
@@ -697,21 +699,10 @@ class WalkEngine {
       node.stats = ns.stats;
       node.active = std::move(ns.active);
       node.next_active.clear();
-      node.parked.clear();
-      node.pending.clear();
-      // Snapshot sections are vectors sorted by walker id at save time; map
-      // insertion order is immaterial. kk-lint: nondeterministic-order-ok
-      for (auto& trial : ns.pending) {
-        walker_id_t id = trial.walker.id;
-        bool inserted = node.pending.emplace(id, std::move(trial)).second;
-        KK_CHECK(inserted);
-      }
+      node.parked = std::move(ns.parked);
       node.in_flight.clear();
-      // kk-lint: nondeterministic-order-ok (sorted vector, see above)
-      for (auto& move : ns.in_flight) {
-        walker_id_t id = move.walker.id;
-        bool inserted = node.in_flight.emplace(id, std::move(move)).second;
-        KK_CHECK(inserted);
+      for (InFlightMove& move : ns.unacked) {
+        node.in_flight.emplace(move.walker.id, std::move(move));
       }
       node.path_log = std::move(ns.path_log);
     }
@@ -940,21 +931,39 @@ class WalkEngine {
   }
 
  private:
-  // Pending trials are keyed by walker id (a walker has at most one trial in
-  // flight), and `epoch` (the superstep the trial was parked) guards against
-  // stale responses when a query is re-issued under faults.
+  // State query of a parked second-order trial (§5.1's two-round exchange).
+  // `slot` locates the trial in the origin node's `parked` vector; the
+  // content key (walker, epoch) names the issue the fault injector hashes and
+  // phase C checks the slot against. A walker has at most one trial parked,
+  // and every issue of it (first or re-issued) has its own epoch: the
+  // superstep whose query exchange first carries it.
   struct QueryMsg {
-    walker_id_t walker = 0;   // pending-trial key at the origin node
+    walker_id_t walker = 0;   // content key, with epoch
     vertex_id_t target = 0;   // vertex whose owner answers
     vertex_id_t subject = 0;  // candidate destination being asked about
-    node_rank_t origin = 0;   // node holding the pending trial
-    uint64_t epoch = 0;       // superstep the trial was parked
+    node_rank_t origin = 0;   // node holding the parked trial
+    uint32_t slot = 0;        // index into the origin's parked vector
+    uint64_t epoch = 0;       // superstep the issue is answered in
   };
 
   struct ResponseMsg {
     walker_id_t walker = 0;
     uint64_t epoch = 0;
+    uint32_t slot = 0;
     QueryResponse payload{};
+  };
+
+  // The slot fills alignment padding, so it costs no message bytes.
+  static_assert(sizeof(QueryMsg) == 32);
+  static_assert(sizeof(QueryResponse) > sizeof(uint32_t) || sizeof(ResponseMsg) == 24);
+
+  // Canonical orders for deterministic mode and snapshots: query/response
+  // messages by content key, parked trials and in-flight copies by walker.
+  static constexpr auto kByContentKey = [](const auto& a, const auto& b) {
+    return a.walker != b.walker ? a.walker < b.walker : a.epoch < b.epoch;
+  };
+  static constexpr auto kByWalkerId = [](const auto& a, const auto& b) {
+    return a.walker.id < b.walker.id;
   };
 
   // Positive acknowledgement of a delivered walker message (reliability
@@ -970,8 +979,8 @@ class WalkEngine {
     vertex_id_t candidate = 0;     // local edge index at walker.cur
     real_t y = 0.0f;               // dart height, compared against Pd
     vertex_id_t query_target = 0;  // queried vertex (kept for re-issue)
-    uint64_t epoch = 0;            // superstep the trial was parked
-    uint32_t age = 0;              // supersteps spent waiting for a response
+    uint64_t epoch = 0;            // epoch of the latest query issue
+    uint32_t age = 0;              // phase Cs waited since the latest issue
     uint32_t retries = 0;
     QueryResponse response{};
     bool responded = false;
@@ -1039,11 +1048,11 @@ class WalkEngine {
     // touches the active batch.
     std::vector<WalkerT> active;
     std::vector<WalkerT> next_active KK_GUARDED_BY(merge_mutex);
-    // Fault-free fast protocol: trials parked this superstep, keyed by slot
-    // index carried in QueryMsg::walker. Every slot is answered before phase
-    // C ends, so the vector drains each iteration (capacity persists).
+    // Second-order trials awaiting their state query's answer; a trial's
+    // index is the slot its query carries. Fault-free, every slot is answered
+    // in its own superstep and the vector drains each phase C (capacity
+    // persists). Under faults, unanswered trials stay at the front.
     std::vector<PendingTrial> parked KK_GUARDED_BY(merge_mutex);
-    std::unordered_map<walker_id_t, PendingTrial> pending KK_GUARDED_BY(merge_mutex);
     std::unordered_map<walker_id_t, InFlightMove> in_flight KK_GUARDED_BY(merge_mutex);
     std::vector<PathEntry> path_log KK_GUARDED_BY(merge_mutex);
     SamplingStats stats KK_GUARDED_BY(merge_mutex);
@@ -1331,7 +1340,6 @@ class WalkEngine {
       node->active.clear();
       node->next_active.clear();
       node->parked.clear();
-      node->pending.clear();
       node->in_flight.clear();
       node->path_log.clear();
       node->stats = SamplingStats{};
@@ -1526,15 +1534,6 @@ class WalkEngine {
     return EstimatedBatchTouchedBytes(batch_size) >
            cache_geo_.l2_bytes / kBucketCacheShareDiv;
   }
-
-  // Fault-free runs answer every query within its own superstep, so parked
-  // trials can live in a flat per-node vector with messages keyed by slot
-  // index — no per-walker hash map. Faulted runs need content keys (the
-  // injector's decisions are keyed on them) and retry bookkeeping, and
-  // deterministic mode promises content-canonical message ordering, so both
-  // keep the map protocol. Walk output is identical either way: each
-  // walker's RNG stream is its own, so resolution order is unobservable.
-  bool FastQueryProtocol() const { return !reliable_ && !options_.deterministic; }
 
   // Legacy locality pass (PartitionMode::kLegacySort): groups `batch` by
   // cur's vertex-range bucket with a stable counting sort into a per-node
@@ -1817,7 +1816,7 @@ class WalkEngine {
   }
 
   // Second-order step: exactly one trial; local queries are answered
-  // immediately, remote ones park the walker in `pending`.
+  // immediately, remote ones park the walker (see NodeState::parked).
   void SecondOrderTrial(WalkerT& w, node_rank_t node_rank, Scratch& scratch) {
     TrialResult r = RunTrial(w, scratch.stats);
     switch (r.outcome) {
@@ -1855,15 +1854,43 @@ class WalkEngine {
     pending.y = r.y;
     pending.query_target = r.query_target;
     pending.epoch = superstep_;
-    // Fast protocol keys the message by the trial's slot in the parked
-    // vector (scratch-local here; MergeScratch rebases to the node level).
-    walker_id_t key = FastQueryProtocol()
-                          ? static_cast<walker_id_t>(scratch.pending_trials.size())
-                          : w.id;
+    // The slot is scratch-local here; MergeScratch rebases it to the node's
+    // parked vector.
+    auto slot = static_cast<uint32_t>(scratch.pending_trials.size());
     scratch.queries[partition_.OwnerOf(r.query_target)].push_back(
-        {key, r.query_target, subject, node_rank, superstep_});
+        {w.id, r.query_target, subject, node_rank, slot, superstep_});
     pending.walker = std::move(w);
     scratch.pending_trials.push_back(std::move(pending));
+  }
+
+  // Phase C under faults: moves unanswered trials to the front of `trials`
+  // (index == new slot; order is unobservable) and ages them. One that is
+  // retry_timeout supersteps past its latest issue is re-issued under a fresh
+  // epoch, so no answer to an older issue can match it. Returns how many wait.
+  size_t RequeueUnanswered(NodeState& node, node_rank_t n, std::vector<PendingTrial>& trials,
+                           SamplingStats& delta) {
+    auto answered = std::partition(trials.begin(), trials.end(),
+                                   [](const PendingTrial& t) { return !t.responded; });
+    const auto waiting = static_cast<size_t>(answered - trials.begin());
+    for (uint32_t slot = 0; slot < waiting; ++slot) {
+      PendingTrial& trial = trials[slot];
+      if (++trial.age < options_.retry_timeout) {
+        continue;
+      }
+      KK_CHECK(trial.retries < options_.max_retries);
+      trial.retries += 1;
+      trial.age = 0;
+      trial.epoch = superstep_ + 1;  // the re-issue is exchanged next superstep
+      delta.query_retries += 1;
+      vertex_id_t subject = NeighborsOf(trial.walker.cur)[trial.candidate].neighbor;
+      node.requery_out[partition_.OwnerOf(trial.query_target)].push_back(
+          QueryMsg{trial.walker.id, trial.query_target, subject, n, slot, trial.epoch});
+    }
+    for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
+      query_mail_->Post(n, dst, std::move(node.requery_out[dst]));
+      node.requery_out[dst].clear();
+    }
+    return waiting;
   }
 
   // Merges chunk-local results into node state and flushes every outbound
@@ -1888,22 +1915,15 @@ class WalkEngine {
                                 std::make_move_iterator(scratch.stay.end()));
       }
       node.path_log.insert(node.path_log.end(), scratch.paths.begin(), scratch.paths.end());
-      if (FastQueryProtocol()) {
-        // Fault-free fast protocol: parked trials append to a flat vector;
-        // their queries are index-keyed, so no per-walker map is needed.
+      if (!scratch.pending_trials.empty()) {
         parked_base = node.parked.size();
+        KK_DCHECK(parked_base + scratch.pending_trials.size() <= UINT32_MAX);
         if (parked_base == 0) {
           node.parked.swap(scratch.pending_trials);
         } else {
           node.parked.insert(node.parked.end(),
                              std::make_move_iterator(scratch.pending_trials.begin()),
                              std::make_move_iterator(scratch.pending_trials.end()));
-        }
-      } else {
-        for (auto& trial : scratch.pending_trials) {
-          walker_id_t id = trial.walker.id;
-          bool inserted = node.pending.emplace(id, std::move(trial)).second;
-          KK_CHECK(inserted);  // one in-flight trial per walker
         }
       }
       for (auto& move : scratch.tracked) {
@@ -1913,10 +1933,10 @@ class WalkEngine {
       }
     }
     if (parked_base > 0) {
-      // Rebase scratch-local trial indices to node-level parked slots.
+      // Rebase scratch-local slots to node-level parked slots.
       for (auto& dst_queries : scratch.queries) {
         for (QueryMsg& q : dst_queries) {
-          q.walker += parked_base;
+          q.slot += static_cast<uint32_t>(parked_base);
         }
       }
     }
@@ -1948,9 +1968,45 @@ class WalkEngine {
     }
   }
 
+  // One node's sections of a snapshot, as LoadCheckpoint reads them.
+  struct NodeSnapshot {
+    SamplingStats stats;
+    std::vector<WalkerT> active;
+    std::vector<PendingTrial> parked;
+    std::vector<InFlightMove> unacked;
+    std::vector<PathEntry> path_log;
+  };
+
+  // The trailer proves a snapshot intact, not that this engine wrote it: every
+  // walker id, vertex, edge index and node rank later code indexes with must
+  // be in range, and the per-walker keys of the parked and unacknowledged
+  // sections must not repeat.
+  bool SnapshotContentValid(const NodeSnapshot& ns) const {
+    const vertex_id_t num_v = graph_.num_vertices();
+    auto walker_ok = [&](const WalkerT& w) { return w.id < num_walkers_ && w.cur < num_v; };
+    auto trial_ok = [&](const PendingTrial& t) {
+      return walker_ok(t.walker) && t.candidate < graph_.OutDegree(t.walker.cur);
+    };
+    auto move_ok = [&](const InFlightMove& m) {
+      return walker_ok(m.walker) && m.dst < options_.num_nodes;
+    };
+    auto entry_ok = [&](const PathEntry& e) { return e.walker < num_walkers_; };
+    auto keys_unique = [](const auto& records) {
+      std::vector<walker_id_t> ids;
+      for (const auto& record : records) {
+        ids.push_back(record.walker.id);
+      }
+      std::ranges::sort(ids);
+      return std::ranges::adjacent_find(ids) == ids.end();
+    };
+    return std::ranges::all_of(ns.active, walker_ok) && std::ranges::all_of(ns.parked, trial_ok) &&
+           std::ranges::all_of(ns.unacked, move_ok) && std::ranges::all_of(ns.path_log, entry_ok) &&
+           keys_unique(ns.parked) && keys_unique(ns.unacked);
+  }
+
   // Serializes the current top-of-loop state to options_.checkpoint_path.
-  // The cut is exact: active walkers, parked second-order trials (map
-  // protocol), unacknowledged in-flight copies, path logs, per-node stats,
+  // The cut is exact: active walkers, parked second-order trials (only under
+  // faults), unacknowledged in-flight copies, path logs, per-node stats,
   // plus the driver's dedup/progress state. Mailbox buffers are not part of
   // the snapshot — undelivered retransmits and re-queries are regenerated by
   // the reliability protocol's timeout machinery after a restore, and
@@ -1985,38 +2041,27 @@ class WalkEngine {
     WriteCheckpointHeader(w, h);
     w.WriteVec(walker_progress_);
     w.WriteVec(active_history_);
-    std::vector<PendingTrial> pending_sorted;
+    std::vector<PendingTrial> parked_sorted;
     std::vector<InFlightMove> inflight_sorted;
     for (auto& node : nodes_) {
       MutexLock lock(node->merge_mutex);  // top-of-loop barrier, uncontended
       w.Write(static_cast<uint64_t>(sizeof(SamplingStats)));
       w.WriteBytes(&node->stats, sizeof(SamplingStats));
       w.WriteVec(node->active);
-      // The snapshot must be a pure function of engine state, not of hash-map
-      // layout: copy the maps out and canonicalize by walker id before
-      // serializing. Order restored at load time is a map again, so walk
-      // output never depends on it either way.
-      pending_sorted.clear();
-      pending_sorted.reserve(node->pending.size());
-      // kk-lint: nondeterministic-order-ok
-      for (const auto& kv : node->pending) {
-        pending_sorted.push_back(kv.second);
-      }
-      std::sort(pending_sorted.begin(), pending_sorted.end(),
-                [](const PendingTrial& a, const PendingTrial& b) {
-                  return a.walker.id < b.walker.id;
-                });
-      w.WriteVec(pending_sorted);
+      // The snapshot must be a pure function of engine state, not of merge
+      // order or hash-map layout: canonicalize parked trials and in-flight
+      // copies by walker id before serializing. Walk output never depends on
+      // either order.
+      parked_sorted.assign(node->parked.begin(), node->parked.end());
+      std::ranges::sort(parked_sorted, kByWalkerId);
+      w.WriteVec(parked_sorted);
       inflight_sorted.clear();
       inflight_sorted.reserve(node->in_flight.size());
       // kk-lint: nondeterministic-order-ok
       for (const auto& kv : node->in_flight) {
         inflight_sorted.push_back(kv.second);
       }
-      std::sort(inflight_sorted.begin(), inflight_sorted.end(),
-                [](const InFlightMove& a, const InFlightMove& b) {
-                  return a.walker.id < b.walker.id;
-                });
+      std::ranges::sort(inflight_sorted, kByWalkerId);
       w.WriteVec(inflight_sorted);
       w.WriteVec(node->path_log);
     }
@@ -2054,7 +2099,6 @@ class WalkEngine {
       crashed.active.clear();
       crashed.next_active.clear();
       crashed.parked.clear();
-      crashed.pending.clear();
       crashed.in_flight.clear();
       crashed.path_log.clear();
       crashed.stats = SamplingStats{};
@@ -2164,11 +2208,7 @@ class WalkEngine {
         double node_start = trace != nullptr ? trace->Now() : 0.0;
         auto& inbox = query_mail_->Inbox(n);
         if (options_.deterministic) {
-          std::sort(inbox.begin(), inbox.end(),
-                    [](const QueryMsg& a, const QueryMsg& b) {
-                      return a.walker != b.walker ? a.walker < b.walker
-                                                  : a.epoch < b.epoch;
-                    });
+          std::ranges::sort(inbox, kByContentKey);
         }
         ParallelOver(node, inbox.size(), [&](size_t begin, size_t end) {
           std::unique_ptr<Scratch> scratch = AcquireScratch(node);
@@ -2176,7 +2216,7 @@ class WalkEngine {
             const QueryMsg& q = inbox[i];
             KK_DCHECK(partition_.Owns(n, q.target));
             QueryResponse payload = transition_->respond_query(graph_, q.target, q.subject);
-            scratch->responses[q.origin].push_back({q.walker, q.epoch, payload});
+            scratch->responses[q.origin].push_back({q.walker, q.epoch, q.slot, payload});
           };
           if (interleave_group_ > 1) {
             // The respond phase is a pure gather over whatever rows the
@@ -2233,96 +2273,54 @@ class WalkEngine {
         double node_start = trace != nullptr ? trace->Now() : 0.0;
         SamplingStats resolve_delta;
         auto& resp_inbox = response_mail_->Inbox(n);
-        // Resolved trials drain into this phase-local vector so the worker
-        // chunks below never alias merge_mutex-guarded state (the thread-
-        // safety analysis cannot track references into guarded containers);
-        // the fast protocol swaps with node.parked, which keeps parked's
-        // high-water capacity exactly as before.
-        std::vector<PendingTrial> resolved;
-        if (FastQueryProtocol()) {
-          {
-            MutexLock lock(node.merge_mutex);
-            resolved.swap(node.parked);
+        if (options_.deterministic) {
+          std::ranges::sort(resp_inbox, kByContentKey);
+        }
+        // Every parked trial drains into this phase-local vector so the
+        // worker chunks below never alias merge_mutex-guarded state (the
+        // thread-safety analysis cannot track references into guarded
+        // containers); swapping keeps parked's high-water capacity.
+        std::vector<PendingTrial> trials;
+        {
+          MutexLock lock(node.merge_mutex);
+          trials.swap(node.parked);
+        }
+        // A response lands in its slot only if the slot still holds the issue
+        // it answers, unanswered and unmoved since (age 0). Anything else — a
+        // duplicate, or a late answer to a trial that has waited through a
+        // phase C — is stale. So acceptance depends on message content alone,
+        // never on which slot merge order gave a trial.
+        size_t answered = 0;
+        for (const ResponseMsg& resp : resp_inbox) {
+          PendingTrial* trial = resp.slot < trials.size() ? &trials[resp.slot] : nullptr;
+          if (trial == nullptr || trial->walker.id != resp.walker ||
+              trial->epoch != resp.epoch || trial->age != 0 || trial->responded) {
+            resolve_delta.stale_responses += 1;
+            continue;
           }
-          // Index-keyed responses land directly in their parked slot; every
-          // slot is answered this superstep, so `parked` IS the resolved set.
-          KK_CHECK(resp_inbox.size() == resolved.size());
-          for (const ResponseMsg& resp : resp_inbox) {
-            KK_DCHECK(resp.walker < resolved.size());
-            resolved[static_cast<size_t>(resp.walker)].response = resp.payload;
-          }
-        } else {
-          if (options_.deterministic) {
-            std::sort(resp_inbox.begin(), resp_inbox.end(),
-                      [](const ResponseMsg& a, const ResponseMsg& b) {
-                        return a.walker != b.walker ? a.walker < b.walker
-                                                    : a.epoch < b.epoch;
-                      });
-          }
-          {
-            MutexLock lock(node.merge_mutex);  // per-node phase, uncontended
-            for (const ResponseMsg& resp : resp_inbox) {
-              auto it = node.pending.find(resp.walker);
-              if (it == node.pending.end() || it->second.epoch != resp.epoch) {
-                // Duplicate of an already-resolved trial, or a late answer to
-                // a query that was re-issued (the retry carries the same
-                // epoch, so either copy's answer is accepted — respond_query
-                // is pure).
-                resolve_delta.stale_responses += 1;
-                continue;
-              }
-              it->second.response = resp.payload;
-              it->second.responded = true;
-            }
-            // Split resolved trials out; unanswered ones stay parked and are
-            // re-queried after retry_timeout supersteps.
-            resolved.reserve(node.pending.size());
-            // Visit order only affects the transient order of `resolved`,
-            // which is consumed through a per-walker SeedStream Rng; walker
-            // results do not depend on it. kk-lint: nondeterministic-order-ok
-            for (auto it = node.pending.begin(); it != node.pending.end();) {
-              if (it->second.responded) {
-                resolved.push_back(std::move(it->second));
-                it = node.pending.erase(it);
-              } else {
-                KK_CHECK(reliable_);  // fault-free queries answer within the superstep
-                PendingTrial& trial = it->second;
-                if (++trial.age >= options_.retry_timeout) {
-                  KK_CHECK(trial.retries < options_.max_retries);
-                  trial.retries += 1;
-                  trial.age = 0;
-                  resolve_delta.query_retries += 1;
-                  const WalkerT& w = trial.walker;
-                  vertex_id_t subject = NeighborsOf(w.cur)[trial.candidate].neighbor;
-                  node.requery_out[partition_.OwnerOf(trial.query_target)].push_back(
-                      QueryMsg{w.id, trial.query_target, subject, n, trial.epoch});
-                }
-                ++it;
-              }
-            }
-          }
-          for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-            query_mail_->Post(n, dst, std::move(node.requery_out[dst]));
-            node.requery_out[dst].clear();
-          }
-          if (options_.deterministic) {
-            std::sort(resolved.begin(), resolved.end(),
-                      [](const PendingTrial& a, const PendingTrial& b) {
-                        return a.walker.id < b.walker.id;
-                      });
-          }
+          trial->response = resp.payload;
+          trial->responded = true;
+          ++answered;
         }
         resp_inbox.clear();
+        size_t waiting = 0;
+        if (answered != trials.size()) {
+          KK_CHECK_MSG(reliable_, "a state query went unanswered in a fault-free superstep");
+          waiting = RequeueUnanswered(node, n, trials, resolve_delta);
+        }
+        if (options_.deterministic) {
+          std::ranges::sort(std::span(trials).subspan(waiting), kByWalkerId);
+        }
         // No locality re-sort here: resolved trials already arrive roughly
         // cur-clustered (phase A grouped their walkers), and PendingTrial is
         // heavy enough that another counting pass costs more than it saves.
-        ParallelOver(node, resolved.size(), [&](size_t begin, size_t end) {
+        ParallelOver(node, trials.size() - waiting, [&](size_t begin, size_t end) {
           std::unique_ptr<Scratch> scratch = AcquireScratch(node);
           scratch->interleave_groups += InterleavedRun(
-              begin, end, interleave_group_,
-              [&](size_t i) { PrefetchWalkerRows(resolved[i].walker.cur); },
+              waiting + begin, waiting + end, interleave_group_,
+              [&](size_t i) { PrefetchWalkerRows(trials[i].walker.cur); },
               [&](size_t i) {
-                PendingTrial& trial = resolved[i];
+                PendingTrial& trial = trials[i];
                 WalkerT& w = trial.walker;
                 const AdjT& edge = NeighborsOf(w.cur)[trial.candidate];
                 scratch->stats.pd_computations += 1;
@@ -2340,13 +2338,11 @@ class WalkEngine {
         });
         {
           MutexLock lock(node.merge_mutex);
-          if (FastQueryProtocol()) {
-            // Hand the drained storage back so parked keeps its high-water
-            // capacity across iterations (node.parked is empty here: phase C
-            // resolution commits or stays, it never parks new trials).
-            resolved.clear();
-            node.parked.swap(resolved);
-          }
+          // The waiting prefix is the new parked vector, slots unchanged
+          // (phase C resolution commits or stays; it never parks a trial).
+          KK_DCHECK(node.parked.empty());
+          trials.resize(waiting);
+          node.parked.swap(trials);
           node.stats.Merge(resolve_delta);
           node.obs.MergeStats(obs::Phase::kResolve, resolve_delta);
         }

@@ -9,7 +9,9 @@
 // mutation of a valid snapshot (bad magic, truncated header, oversized
 // declared counts, truncated payload, flipped payload byte, trailing
 // garbage) must be rejected cleanly by both InspectCheckpoint and
-// LoadCheckpoint, with no allocation blow-up and no engine state touched.
+// LoadCheckpoint, with no allocation blow-up and no engine state touched;
+// checksum-valid content with out-of-range ids, vertices, edge indices or
+// node ranks, or repeated per-walker keys, must be rejected by the loader.
 //
 // The CI deterministic-sim job re-runs this binary under TSan with
 // KK_SIM_WORKERS=4.
@@ -18,6 +20,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -240,6 +245,73 @@ void WriteAll(const std::string& path, const std::string& data) {
   ASSERT_EQ(std::fclose(f), 0);
 }
 
+template <typename T>
+T LoadAt(const std::string& data, size_t at) {
+  T value;
+  std::memcpy(&value, data.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void StoreAt(std::string* data, size_t at, const T& value) {
+  std::memcpy(data->data() + at, &value, sizeof(T));
+}
+
+// One record section of a snapshot: a u64 count, then `count` records.
+struct RecordSection {
+  size_t count_at = 0;  // file offset of the count
+  uint64_t count = 0;
+  size_t record_bytes = 0;
+
+  size_t Record(uint64_t i) const { return count_at + sizeof(uint64_t) + i * record_bytes; }
+};
+
+struct NodeSections {
+  RecordSection active, parked, unacked, path_log;
+};
+
+// Walks the snapshot layout SaveCheckpoint writes: the 72-byte header
+// (record sizes at offsets 40..55), the walker-progress (u32) and
+// active-history (u64) vectors, then per node a sized stats blob and the
+// active, parked, in-flight and path-log sections.
+std::vector<NodeSections> LocateNodeSections(const std::string& snap) {
+  const size_t record_bytes[4] = {LoadAt<uint32_t>(snap, 40), LoadAt<uint32_t>(snap, 44),
+                                  LoadAt<uint32_t>(snap, 48), LoadAt<uint32_t>(snap, 52)};
+  size_t at = 72;
+  at += sizeof(uint64_t) + LoadAt<uint64_t>(snap, at) * sizeof(uint32_t);
+  at += sizeof(uint64_t) + LoadAt<uint64_t>(snap, at) * sizeof(uint64_t);
+  std::vector<NodeSections> nodes(LoadAt<uint32_t>(snap, 12));
+  for (NodeSections& node : nodes) {
+    at += sizeof(uint64_t) + LoadAt<uint64_t>(snap, at);
+    RecordSection* sections[4] = {&node.active, &node.parked, &node.unacked, &node.path_log};
+    for (size_t k = 0; k < 4; ++k) {
+      RecordSection& section = *sections[k];
+      section.count_at = at;
+      section.count = LoadAt<uint64_t>(snap, at);
+      section.record_bytes = record_bytes[k];
+      at = section.Record(section.count);
+    }
+  }
+  return nodes;
+}
+
+void AppendRecord(std::string* snap, const RecordSection& section, const std::string& record) {
+  ASSERT_EQ(record.size(), section.record_bytes);
+  snap->insert(section.Record(section.count), record);
+  StoreAt<uint64_t>(snap, section.count_at, section.count + 1);
+}
+
+// Recomputes the FNV-1a 64 trailer over everything before it, so only the
+// loader's content checks stand between an edited snapshot and the engine.
+void Reseal(std::string* snap) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i + sizeof(uint64_t) < snap->size(); ++i) {
+    hash ^= static_cast<unsigned char>((*snap)[i]);
+    hash *= 0x100000001b3ULL;
+  }
+  StoreAt<uint64_t>(snap, snap->size() - sizeof(uint64_t), hash);
+}
+
 // Every tested mutation of a valid snapshot must fail cleanly — false from
 // both the generic traversal and the engine loader, no crash, no multi-GB
 // allocation from a corrupt declared count.
@@ -250,7 +322,8 @@ TEST(CheckpointFormatTest, CorruptSnapshotsAreRejected) {
   opts.checkpoint_every = 1;
   opts.checkpoint_path = SnapshotPath("corrupt_base");
   WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
-  engine.Run(DeepWalkTransition<EmptyEdgeData>(), DeepWalkWalkers(80, params));
+  const walker_id_t num_walkers = 80;
+  engine.Run(DeepWalkTransition<EmptyEdgeData>(), DeepWalkWalkers(num_walkers, params));
   std::string valid = ReadAll(opts.checkpoint_path);
   ASSERT_GT(valid.size(), 64u);
 
@@ -288,6 +361,87 @@ TEST(CheckpointFormatTest, CorruptSnapshotsAreRejected) {
     EXPECT_FALSE(engine.LoadCheckpoint(path));
     std::remove(path.c_str());
   }
+
+  // Checksum-valid content no engine could have written: one edited field
+  // or spliced record each, trailer recomputed. The generic traversal
+  // accepts every one; the loader must refuse all but the control before it
+  // touches any state. Parked and in-flight records are spliced in as a
+  // walker followed by the u32 that comes next in PendingTrial (candidate)
+  // and InFlightMove (dst), rest zero.
+  using W = Walker<>;
+  const NodeSections base = LocateNodeSections(valid)[0];
+  ASSERT_GT(base.active.count, 0u);
+  ASSERT_GT(base.path_log.count, 0u);
+  const W first = LoadAt<W>(valid, base.active.Record(0));
+  const vertex_id_t num_vertices = engine.graph().num_vertices();
+  struct Spliced {
+    bool parked;  // else in-flight
+    walker_id_t id;
+    vertex_id_t cur;
+    uint32_t after_walker;
+  };
+  auto splice = [&](std::initializer_list<Spliced> records) {
+    std::string snap = valid;
+    for (const Spliced& r : records) {
+      const NodeSections node = LocateNodeSections(snap)[0];
+      const RecordSection& section = r.parked ? node.parked : node.unacked;
+      W w = first;
+      w.id = r.id;
+      w.cur = r.cur;
+      std::string bytes(section.record_bytes, '\0');
+      std::memcpy(bytes.data(), &w, sizeof(W));
+      std::memcpy(bytes.data() + sizeof(W), &r.after_walker, sizeof(uint32_t));
+      AppendRecord(&snap, section, bytes);
+    }
+    Reseal(&snap);
+    return snap;
+  };
+  auto edit_active = [&](walker_id_t new_id, vertex_id_t new_cur) {
+    std::string snap = valid;
+    W w = first;
+    w.id = new_id;
+    w.cur = new_cur;
+    StoreAt(&snap, base.active.Record(0), w);
+    Reseal(&snap);
+    return snap;
+  };
+  std::string path_walker = valid;
+  PathEntry entry = LoadAt<PathEntry>(valid, base.path_log.Record(0));
+  entry.walker = num_walkers;
+  StoreAt(&path_walker, base.path_log.Record(0), entry);
+  Reseal(&path_walker);
+  const walker_id_t id = first.id;
+  const vertex_id_t cur = first.cur;
+  const uint32_t degree = engine.graph().OutDegree(cur);
+  struct ContentCase {
+    const char* name;
+    std::string data;
+    bool loads;
+  };
+  const ContentCase content_cases[] = {
+      {"control", splice({{true, id, cur, 0}, {false, id, cur, 0}}), true},
+      {"parked_repeats_walker", splice({{true, id, cur, 0}, {true, id, cur, 0}}), false},
+      {"parked_walker_id_out_of_range", splice({{true, num_walkers, cur, 0}}), false},
+      {"parked_cur_out_of_range", splice({{true, id, num_vertices, 0}}), false},
+      {"parked_candidate_out_of_range", splice({{true, id, cur, degree}}), false},
+      {"unacked_repeats_walker", splice({{false, id, cur, 0}, {false, id, cur, 0}}), false},
+      {"unacked_walker_id_out_of_range", splice({{false, num_walkers, cur, 0}}), false},
+      {"unacked_dst_out_of_range", splice({{false, id, cur, 2}}), false},
+      {"active_walker_id_out_of_range", edit_active(num_walkers, cur), false},
+      {"active_cur_out_of_range", edit_active(id, num_vertices), false},
+      {"path_log_walker_out_of_range", path_walker, false},
+  };
+  for (const ContentCase& c : content_cases) {
+    SCOPED_TRACE(c.name);
+    std::string path = SnapshotPath(std::string("content_") + c.name);
+    WriteAll(path, c.data);
+    CheckpointInfo info;
+    std::string error;
+    EXPECT_TRUE(InspectCheckpoint(path, &info, &error)) << error;
+    EXPECT_EQ(engine.LoadCheckpoint(path), c.loads);
+    std::remove(path.c_str());
+  }
+
   // The untouched original still validates and loads.
   CheckpointInfo info;
   std::string error;
@@ -326,6 +480,37 @@ TEST(CheckpointRecoveryTest, CrashWithoutCheckpointingDies) {
   WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
   EXPECT_DEATH(engine.Run(DeepWalkTransition<EmptyEdgeData>(), DeepWalkWalkers(50, params)),
                "crash");
+}
+
+// Both checkpoint preconditions are admission-time rules: ValidateRun
+// reports them, so a long-lived caller can refuse the config instead of
+// aborting inside Run.
+TEST(ValidateRunTest, RejectsCheckpointMisconfiguration) {
+  auto edges = GenerateUniformDegree(100, 6, 308);
+  auto engine_with = [&](const WalkEngineOptions& opts) {
+    return std::make_unique<WalkEngine<EmptyEdgeData>>(Csr<EmptyEdgeData>::FromEdgeList(edges),
+                                                       opts);
+  };
+  const auto transition = DeepWalkTransition<EmptyEdgeData>();
+
+  WalkEngineOptions no_path = BaseOptions(2, 0);
+  no_path.checkpoint_every = 2;
+  std::string err = engine_with(no_path)->ValidateRun(transition);
+  EXPECT_NE(err.find("checkpoint_path"), std::string::npos) << err;
+
+  FaultInjector node_crash(FaultPolicy{});
+  node_crash.CrashNode(0, 1);
+  FaultInjector batch_crash(FaultPolicy{});
+  batch_crash.CrashOnMutationBatch(0, 1);
+  for (FaultInjector* injector : {&node_crash, &batch_crash}) {
+    WalkEngineOptions opts = BaseOptions(2, 0);
+    opts.fault_injector = injector;
+    err = engine_with(opts)->ValidateRun(transition);
+    EXPECT_NE(err.find("checkpoint_every"), std::string::npos) << err;
+    opts.checkpoint_every = 1;
+    opts.checkpoint_path = SnapshotPath("validate_run");
+    EXPECT_EQ(engine_with(opts)->ValidateRun(transition), "");
+  }
 }
 
 // Exported metrics carry the checkpoint counters and still satisfy the

@@ -5,6 +5,8 @@
 // stream, so placement and scheduling cannot perturb its draws.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "src/graph/annotate.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
+#include "src/testing/fault_injector.h"
 #include "src/util/rng.h"
 
 namespace knightking {
@@ -99,24 +102,55 @@ TEST(DeterminismTest, MetaPathIdenticalAcrossClusterShapes) {
 TEST(DeterminismTest, Node2VecIdenticalAcrossClusterShapes) {
   auto edges = GenerateUniformDegree(300, 8, 104);
   Node2VecParams params{.p = 0.25, .q = 4.0, .walk_length = 15};
+  // The faulted input drops, delays and duplicates messages and routes every
+  // state query through the mailboxes, so parked trials go through
+  // re-issues, duplicate answers and late answers to old slots. Walks must
+  // still match the fault-free reference byte for byte. Which answers count
+  // depends on message content only, never on the slot merge order gave a
+  // trial, so the protocol counters must agree across worker counts and
+  // deterministic on/off for a given cluster size.
+  using Counters = std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
   std::vector<PathEntry> reference;
-  for (const ClusterShape& shape : kShapes) {
-    for (bool deterministic : {false, true}) {
-      WalkEngineOptions opts;
-      opts.num_nodes = shape.num_nodes;
-      opts.workers_per_node = shape.workers;
-      opts.collect_paths = true;
-      opts.seed = kSeed;
-      opts.deterministic = deterministic;
-      WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
-      engine.Run(Node2VecTransition(engine.graph(), params),
-                 Node2VecWalkers(150, params));
-      std::vector<PathEntry> got = engine.TakePathEntries();
-      if (reference.empty()) {
-        reference = std::move(got);
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(got, reference)
+  std::map<node_rank_t, Counters> faulted_counters;
+  for (bool faulted : {false, true}) {
+    for (const ClusterShape& shape : kShapes) {
+      for (bool deterministic : {false, true}) {
+        FaultPolicy policy;
+        policy.drop = 0.1;
+        policy.delay = 0.1;
+        policy.duplicate = 0.1;
+        FaultInjector injector(policy);
+        WalkEngineOptions opts;
+        opts.num_nodes = shape.num_nodes;
+        opts.workers_per_node = shape.workers;
+        opts.collect_paths = true;
+        opts.seed = kSeed;
+        opts.deterministic = deterministic;
+        if (faulted) {
+          opts.fault_injector = &injector;
+          opts.force_remote_queries = true;
+        }
+        WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
+        SamplingStats stats = engine.Run(Node2VecTransition(engine.graph(), params),
+                                         Node2VecWalkers(150, params));
+        std::vector<PathEntry> got = engine.TakePathEntries();
+        if (reference.empty()) {
+          reference = std::move(got);
+          ASSERT_FALSE(reference.empty());
+        } else {
+          EXPECT_EQ(got, reference)
+              << "faulted=" << faulted << " nodes=" << shape.num_nodes
+              << " workers=" << shape.workers << " deterministic=" << deterministic;
+        }
+        if (!faulted || shape.num_nodes == 1) {
+          continue;  // one node has no cross-node traffic to fault
+        }
+        EXPECT_GT(stats.query_retries, 0u) << "fault policy never hit a query";
+        EXPECT_GT(stats.stale_responses, 0u) << "no duplicate or late answer arrived";
+        Counters counters{stats.iterations, stats.query_retries, stats.stale_responses,
+                          stats.walker_retransmits, stats.duplicates_suppressed};
+        auto [it, first] = faulted_counters.emplace(shape.num_nodes, counters);
+        EXPECT_TRUE(first || it->second == counters)
             << "nodes=" << shape.num_nodes << " workers=" << shape.workers
             << " deterministic=" << deterministic;
       }

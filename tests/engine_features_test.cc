@@ -431,8 +431,8 @@ TEST(BatchSortModeTest, PathEntriesIdenticalAcrossSortModesWorkersAndFaults) {
   // must be byte-identical across the whole matrix — legacy counting sort vs
   // hierarchical partitioner, interleave ring on (group > 1) vs off (group
   // 1), auto vs forced grouping, with and without per-node worker pools, and
-  // with the fault injector attached (which also switches the engine from the
-  // index-keyed fast query protocol back to the content-keyed map protocol).
+  // with the fault injector attached (which drives the same slot-keyed query
+  // protocol through re-issues and stale answers).
   auto graph = GenerateTruncatedPowerLaw(500, 2.0, 4, 80, 29);
   Node2VecParams params{.p = 0.5, .q = 2.0, .walk_length = 12};
   struct LocalityConfig {
