@@ -511,6 +511,10 @@ class WalkEngine {
       // — the invariant the recovery replay depends on.
       if (mutating_) {
         ApplyDueMutations();
+        // Once per superstep: MemoryBytes visits every overlay row, far too
+        // slow for the per-node, per-superstep locality estimate.
+        overlay_row_bytes_ =
+            overlay_.NumRows() > 0 ? overlay_.MemoryBytes() / overlay_.NumRows() : 0;
       }
       // Snapshot before probing for crashes: the initial save at superstep 0
       // guarantees every crash finds a checkpoint at or before its epoch.
@@ -607,12 +611,11 @@ class WalkEngine {
     uint64_t touched = walker_bytes + rows * plan_.bytes_per_vertex;
     // Delta-overlay rows are hot state the static plan knows nothing about:
     // without this term the estimate goes stale as mutations accumulate and
-    // kAuto under-sorts exactly when locality matters most.
+    // kAuto under-sorts exactly when locality matters most. The weight-class
+    // row size is the one sampled at the last superstep barrier.
     const uint64_t dirty = std::min<uint64_t>(rows, delta_.NumDirtyRows());
     if (dirty > 0) {
-      const uint64_t sampler_row_bytes =
-          overlay_.NumRows() > 0 ? overlay_.MemoryBytes() / overlay_.NumRows() : 0;
-      touched += dirty * (delta_.BytesPerDirtyRow() + sampler_row_bytes);
+      touched += dirty * (delta_.BytesPerDirtyRow() + overlay_row_bytes_);
     }
     return touched;
   }
@@ -2496,6 +2499,9 @@ class WalkEngine {
   Csr<EdgeData> pristine_graph_;
   DeltaStore<EdgeData> delta_;
   DynamicSamplerOverlay overlay_;
+  // Overlay sampler bytes per row as of this superstep's top-of-loop barrier
+  // (EstimatedBatchTouchedBytes reads it; only batch order depends on it).
+  uint64_t overlay_row_bytes_ = 0;
   std::vector<real_t> ps_row_buffer_;  // driver-only scratch for row builds
   size_t mutation_cursor_ = 0;         // log batches applied (checkpoint cut)
   uint64_t merges_ = 0;

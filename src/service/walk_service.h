@@ -24,6 +24,7 @@
 #ifndef SRC_SERVICE_WALK_SERVICE_H_
 #define SRC_SERVICE_WALK_SERVICE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -373,16 +374,24 @@ class WalkService {
     ServiceCounters delta;
 
     // Stitch every miss from the index; collect live-fallback cursors.
+    Timer stitch_timer;
     std::vector<LiveWalk> live;
     for (size_t wi = 0; wi < work.size(); ++wi) {
       StitchQuery(wi, work[wi], &live, &delta);
     }
+    stage_seconds_.stitch += stitch_timer.Seconds();
 
     // One shared engine run finishes every pending walk of the batch.
     if (!live.empty()) {
-      RunLiveWalks(&live, &work, &delta);
+      Timer run_timer;
+      RunLiveWalks(work, live);
+      stage_seconds_.run += run_timer.Seconds();
+      Timer accumulate_timer;
+      AccumulateLivePaths(live, &work, &delta);
+      stage_seconds_.accumulate += accumulate_timer.Seconds();
     }
 
+    Timer finalize_timer;
     for (QueryWork& w : work) {
       ServiceResult r = Finalize(w);
       if (options_.cache_capacity > 0) {
@@ -390,6 +399,7 @@ class WalkService {
       }
       results[w.slot] = std::move(r);
     }
+    stage_seconds_.finalize += finalize_timer.Seconds();
 
     {
       MutexLock lock(mu_);
@@ -459,11 +469,13 @@ class WalkService {
     uint64_t index_segments = 0;
     uint64_t index_bytes = 0;
     double build_seconds = 0.0;
+    StageSeconds stages;
     {
       MutexLock serve(serve_mu_);
       index_segments = index_.num_segments();
       index_bytes = index_.PayloadBytes();
       build_seconds = index_build_seconds_;
+      stages = stage_seconds_;
     }
     out.AddCounter("service.queries_submitted", with({}), c.submitted);
     out.AddCounter("service.queries_rejected", with({}), c.rejected);
@@ -489,6 +501,12 @@ class WalkService {
                  static_cast<double>(lat.PercentileNanos(0.99)) / 1e6, false);
     out.SetGauge("service.latency_mean_ms", with({}), lat.MeanNanos() / 1e6, false);
     out.SetGauge("service.index_build_seconds", with({}), build_seconds, false);
+    out.SetGauge("service.stage_seconds", with({{"stage", "stitch"}}), stages.stitch, false);
+    out.SetGauge("service.stage_seconds", with({{"stage", "run"}}), stages.run, false);
+    out.SetGauge("service.stage_seconds", with({{"stage", "accumulate"}}), stages.accumulate,
+                 false);
+    out.SetGauge("service.stage_seconds", with({{"stage", "finalize"}}), stages.finalize,
+                 false);
   }
 
   void ExportEngineMetrics(obs::MetricsRegistry& out, const obs::Labels& base = {}) const
@@ -507,6 +525,15 @@ class WalkService {
     Timer timer;
   };
 
+  // Cumulative wall-clock seconds ProcessBatch spent per serving stage. Not
+  // deterministic; exported as unstable gauges.
+  struct StageSeconds {
+    double stitch = 0.0;      // index stitching of every cache miss
+    double run = 0.0;         // the shared live-walk engine Run and path assembly
+    double accumulate = 0.0;  // folding live-walk paths into their queries
+    double finalize = 0.0;    // sort-and-count answers, cache Put
+  };
+
   // One walk that ran out of index segments and needs a live remainder.
   struct LiveWalk {
     size_t work_idx = 0;       // into the batch's `work` vector
@@ -520,10 +547,10 @@ class WalkService {
     size_t slot = 0;  // position in the batch / results vector
     ServiceQuery query;
     uint64_t cache_key = 0;
-    // PPR accumulation (ordered: results serialize by vertex id).
-    std::map<vertex_id_t, uint32_t> visits;
-    std::map<vertex_id_t, uint32_t> endpoints;
-    uint64_t total_visits = 0;
+    // PPR accumulation: one entry per visit and one per finished walk, in
+    // arrival order. Finalize sorts each log once and counts its runs.
+    std::vector<vertex_id_t> visits;
+    std::vector<vertex_id_t> endpoints;
     // Context accumulation.
     std::vector<vertex_id_t> context;
   };
@@ -602,10 +629,8 @@ class WalkService {
         if (q.kind == QueryKind::kPpr) {
           // seg[0] is `cur`: the walk start on the first segment (count it),
           // an already-counted endpoint on continuations (skip it).
-          size_t first = stitched_any ? 1 : 0;
-          for (size_t i = first; i < seg.size(); ++i) {
-            Visit(w, seg[i]);
-          }
+          auto visited = seg.subspan(stitched_any ? 1 : 0);
+          w.visits.insert(w.visits.end(), visited.begin(), visited.end());
         } else {
           // Context = vertices *after* the walk start; seg[0] is never new
           // material (the query vertex on the first segment, a duplicate
@@ -619,7 +644,7 @@ class WalkService {
         cur = seg.back();
         if (terminated) {
           if (q.kind == QueryKind::kPpr) {
-            Endpoint(w, cur);
+            w.endpoints.push_back(cur);
           }
           finished = true;
         } else if (q.kind == QueryKind::kContext && remaining == 0) {
@@ -633,24 +658,25 @@ class WalkService {
   }
 
   // Runs every pending live walk of the batch as ONE engine pass with
-  // shared supersteps. Each walker's RNG stream is a hash of (its query's
-  // content, its walk slot), so the walk is independent of which other
-  // queries happen to share the run.
-  void RunLiveWalks(std::vector<LiveWalk>* live, std::vector<QueryWork>* work,
-                    ServiceCounters* delta) KK_REQUIRES(serve_mu_) {
-    std::vector<uint64_t> streams(live->size());
-    std::vector<uint32_t> caps(live->size());
-    for (size_t i = 0; i < live->size(); ++i) {
-      const LiveWalk& lw = (*live)[i];
-      uint64_t qkey = QueryContentKey((*work)[lw.work_idx].query);
+  // shared supersteps, leaving walk i's path in live_paths_.Path(i). Each
+  // walker's RNG stream is a hash of (its query's content, its walk slot),
+  // so the walk is independent of which other queries happen to share the
+  // run.
+  void RunLiveWalks(const std::vector<QueryWork>& work, const std::vector<LiveWalk>& live)
+      KK_REQUIRES(serve_mu_) {
+    std::vector<uint64_t> streams(live.size());
+    std::vector<uint32_t> caps(live.size());
+    for (size_t i = 0; i < live.size(); ++i) {
+      const LiveWalk& lw = live[i];
+      uint64_t qkey = QueryContentKey(work[lw.work_idx].query);
       streams[i] =
           HashCombine64(HashCombine64(kLiveSalt, qkey), lw.walk_slot) & kStreamMask;
       caps[i] = lw.cap;
     }
     WalkerSpec<> spec;
-    spec.num_walkers = static_cast<walker_id_t>(live->size());
-    spec.start_vertex = [live](walker_id_t id, Rng&) {
-      return (*live)[static_cast<size_t>(id)].cur;
+    spec.num_walkers = static_cast<walker_id_t>(live.size());
+    spec.start_vertex = [&live](walker_id_t id, Rng&) {
+      return live[static_cast<size_t>(id)].cur;
     };
     spec.rng_stream = [&streams](walker_id_t id) {
       return streams[static_cast<size_t>(id)];
@@ -663,10 +689,15 @@ class WalkService {
     };
     engine_->Run(PprTransition<EdgeData>(), spec);
     engine_->TakeFlatPaths(&live_paths_);
-    KK_CHECK(live_paths_.num_paths() == live->size());
+    KK_CHECK(live_paths_.num_paths() == live.size());
+  }
 
-    for (size_t i = 0; i < live->size(); ++i) {
-      const LiveWalk& lw = (*live)[i];
+  // Folds each live walk's path into its query: PPR visits and endpoint,
+  // or context vertices.
+  void AccumulateLivePaths(const std::vector<LiveWalk>& live, std::vector<QueryWork>* work,
+                           ServiceCounters* delta) KK_REQUIRES(serve_mu_) {
+    for (size_t i = 0; i < live.size(); ++i) {
+      const LiveWalk& lw = live[i];
       QueryWork& w = (*work)[lw.work_idx];
       std::span<const vertex_id_t> path = live_paths_.Path(i);
       KK_CHECK(!path.empty() && path.front() == lw.cur);
@@ -676,11 +707,9 @@ class WalkService {
         // path[0] == cur: already counted when this walk stitched at least
         // one segment; a never-stitched walk starts fresh here and its
         // start vertex has not been visited yet.
-        size_t first = lw.stitched_any ? 1 : 0;
-        for (size_t p = first; p < path.size(); ++p) {
-          Visit(w, path[p]);
-        }
-        Endpoint(w, path.back());
+        auto visited = path.subspan(lw.stitched_any ? 1 : 0);
+        w.visits.insert(w.visits.end(), visited.begin(), visited.end());
+        w.endpoints.push_back(path.back());
       } else {
         for (size_t p = 1; p < path.size(); ++p) {
           w.context.push_back(path[p]);
@@ -689,23 +718,42 @@ class WalkService {
     }
   }
 
-  void Visit(QueryWork& w, vertex_id_t v) {
-    w.visits[v] += 1;
-    w.total_visits += 1;
+  // Sorts `log` and returns one (vertex, value(run length)) pair per distinct
+  // vertex, ascending. The runs are counted before the output is filled so
+  // its capacity is exact: results live on in the cache and in callers'
+  // hands, and growth slack there would be pure resident overhead.
+  template <typename T, typename ValueFn>
+  static std::vector<std::pair<vertex_id_t, T>> CountRuns(std::vector<vertex_id_t>& log,
+                                                          ValueFn value) {
+    std::sort(log.begin(), log.end());
+    size_t distinct = log.empty() ? 0 : 1;
+    for (size_t i = 1; i < log.size(); ++i) {
+      if (log[i] != log[i - 1]) {
+        ++distinct;
+      }
+    }
+    std::vector<std::pair<vertex_id_t, T>> runs;
+    runs.reserve(distinct);
+    for (size_t i = 0; i < log.size();) {
+      size_t end = i + 1;
+      while (end < log.size() && log[end] == log[i]) {
+        ++end;
+      }
+      runs.emplace_back(log[i], value(static_cast<uint32_t>(end - i)));
+      i = end;
+    }
+    return runs;
   }
-
-  void Endpoint(QueryWork& w, vertex_id_t v) { w.endpoints[v] += 1; }
 
   ServiceResult Finalize(QueryWork& w) {
     ServiceResult r;
     r.query = w.query;
     if (w.query.kind == QueryKind::kPpr) {
-      r.scores.reserve(w.visits.size());
-      for (const auto& [v, c] : w.visits) {
-        r.scores.emplace_back(
-            v, static_cast<double>(c) / static_cast<double>(w.total_visits));
-      }
-      r.endpoints.assign(w.endpoints.begin(), w.endpoints.end());
+      const auto total_visits = static_cast<double>(w.visits.size());
+      r.scores = CountRuns<double>(w.visits, [total_visits](uint32_t c) {
+        return static_cast<double>(c) / total_visits;
+      });
+      r.endpoints = CountRuns<uint32_t>(w.endpoints, [](uint32_t c) { return c; });
     } else {
       r.context = std::move(w.context);
       if (r.context.size() > w.query.count) {
@@ -733,6 +781,7 @@ class WalkService {
   // Live-walk paths of the batch in flight; capacity persists across batches.
   FlatPaths live_paths_ KK_GUARDED_BY(serve_mu_);
   double index_build_seconds_ KK_GUARDED_BY(serve_mu_) = 0.0;
+  StageSeconds stage_seconds_ KK_GUARDED_BY(serve_mu_);
 
   // Admission lock: queue, counters, latency, and the staged-index slot.
   // Submit takes only this, so producers never wait on a batch in flight.

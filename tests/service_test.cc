@@ -13,6 +13,7 @@
 // KK_SIM_WORKERS=4.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -347,6 +348,130 @@ TEST(ServiceQueryTest, LiveOnlyServiceAnswersWithoutIndex) {
     endpoint_total += c;
   }
   EXPECT_EQ(endpoint_total, 50u);  // exactly one endpoint per walk
+}
+
+TEST(ServiceMetricsTest, StageSecondsAreUnstableGaugesPerStage) {
+  WalkServiceOptions opts = BaseOptions(WorkersFromEnv(), 0);
+  opts.segments_per_vertex = 1;  // one segment per vertex: live walks too
+  WalkService<EmptyEdgeData> service(TestGraph(), opts);
+  service.BuildIndex();
+  service.ServeOne(ServiceQuery{QueryKind::kPpr, 4, 30});
+  ASSERT_GT(service.counters().live_walks, 0u);
+
+  obs::MetricsRegistry reg;
+  service.ExportMetrics(reg);
+  std::vector<std::string> stages;
+  for (const obs::Metric* m : reg.Sorted()) {
+    if (m->name == "service.stage_seconds") {
+      EXPECT_FALSE(m->stable);
+      EXPECT_GE(m->dvalue, 0.0);
+      ASSERT_EQ(m->labels.size(), 1u);
+      stages.push_back(m->labels[0].second);
+    }
+  }
+  EXPECT_EQ(stages, (std::vector<std::string>{"accumulate", "finalize", "run", "stitch"}));
+  EXPECT_EQ(reg.ToJson(obs::MetricsRegistry::Snapshot::kStableOnly).find("stage_seconds"),
+            std::string::npos);
+}
+
+// The visit total behind a score vector: the smallest T for which every
+// score is an integral multiple of 1/T, or 0 when no T up to 10^6 is.
+uint64_t VisitTotalOf(const ServiceResult& r) {
+  for (uint64_t total = 1; total <= 1000000; ++total) {
+    bool integral = true;
+    for (const auto& [v, score] : r.scores) {
+      double visits = score * static_cast<double>(total);
+      if (std::abs(visits - std::round(visits)) > 1e-9) {
+        integral = false;
+        break;
+      }
+    }
+    if (integral) {
+      return total;
+    }
+  }
+  return 0;
+}
+
+// A PPR answer built from `total_visits` visits of `r.query.count` walks:
+// both vectors strictly ascending by vertex and exactly sized, scores
+// summing to 1 and counting whole visits, endpoints one per walk.
+void ExpectPprAnswerShape(const ServiceResult& r, uint64_t total_visits) {
+  ASSERT_FALSE(r.scores.empty());
+  ASSERT_GT(total_visits, 0u);
+  double score_sum = 0.0;
+  uint64_t visit_sum = 0;
+  for (size_t i = 0; i < r.scores.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(r.scores[i - 1].first, r.scores[i].first);
+    }
+    score_sum += r.scores[i].second;
+    double visits = r.scores[i].second * static_cast<double>(total_visits);
+    EXPECT_NEAR(visits, std::round(visits), 1e-9) << "vertex " << r.scores[i].first;
+    EXPECT_GE(std::round(visits), 1.0);
+    visit_sum += static_cast<uint64_t>(std::llround(visits));
+  }
+  EXPECT_NEAR(score_sum, 1.0, 1e-12);
+  EXPECT_EQ(visit_sum, total_visits);
+  uint64_t endpoint_sum = 0;
+  for (size_t i = 0; i < r.endpoints.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(r.endpoints[i - 1].first, r.endpoints[i].first);
+    }
+    EXPECT_GT(r.endpoints[i].second, 0u);
+    endpoint_sum += r.endpoints[i].second;
+  }
+  EXPECT_EQ(endpoint_sum, r.query.count);
+  EXPECT_EQ(r.scores.capacity(), r.scores.size());
+  EXPECT_EQ(r.endpoints.capacity(), r.endpoints.size());
+}
+
+TEST(ServiceQueryTest, PprAnswersWithRevisitsAreSortedCountedAndExactlySized) {
+  // 12 vertices of degree ~6 and walks of ~10 steps: every walk revisits.
+  auto dense = [] {
+    return Csr<EmptyEdgeData>::FromEdgeList(GenerateUniformDegree(12, 6, 23));
+  };
+  std::vector<ServiceQuery> queries;
+  for (vertex_id_t v : {0u, 5u, 11u}) {
+    queries.push_back(ServiceQuery{QueryKind::kPpr, v, 40});
+  }
+
+  // Two segments per vertex run dry within one 40-walk query, so answers
+  // mix stitched and live walks. The second pass is served from the cache.
+  WalkServiceOptions opts = BaseOptions(WorkersFromEnv(), 8);
+  opts.segments_per_vertex = 2;
+  opts.segment_cap = 3;
+  opts.terminate_prob = 0.1;
+  WalkService<EmptyEdgeData> mixed(dense(), opts);
+  mixed.BuildIndex();
+  for (bool cached : {false, true}) {
+    for (const ServiceQuery& q : queries) {
+      ASSERT_TRUE(mixed.Submit(q));
+    }
+    for (const ServiceResult& r : mixed.ProcessBatch()) {
+      EXPECT_EQ(r.from_cache, cached);
+      uint64_t total_visits = VisitTotalOf(r);
+      EXPECT_GT(total_visits, r.scores.size());  // some vertex was revisited
+      ExpectPprAnswerShape(r, total_visits);
+    }
+  }
+  EXPECT_GT(mixed.counters().segments_stitched, 0u);
+  EXPECT_GT(mixed.counters().live_walks, 0u);
+
+  // Live only: every walk is one engine path, so the visit total is exactly
+  // the query's walks plus their steps.
+  opts.segments_per_vertex = 0;
+  opts.cache_capacity = 0;
+  WalkService<EmptyEdgeData> live(dense(), opts);
+  live.BuildIndex();
+  for (const ServiceQuery& q : queries) {
+    ServiceCounters before = live.counters();
+    ServiceResult r = live.ServeOne(q);
+    ServiceCounters after = live.counters();
+    const uint64_t walks = after.live_walks - before.live_walks;
+    EXPECT_EQ(walks, q.count);
+    ExpectPprAnswerShape(r, walks + (after.live_walk_steps - before.live_walk_steps));
+  }
 }
 
 // --- Segment-index corruption matrix ----------------------------------
