@@ -3,11 +3,11 @@
 // as BENCH_mutation.json so the repo's perf trajectory is tracked in version
 // control.
 //
-//   * update_cost — a single edge update against a weight-class sampler row
-//     is O(1): the per-update cost is measured across row degrees spanning
-//     64..4096 and compared against the rebuild-per-update strategy a
-//     static alias table would force. The speedup column is the headline
-//     (it should grow linearly with degree).
+//   * update_cost — a single edge update against a LazyAliasRow is O(1):
+//     the per-update cost is measured across row degrees spanning 64..4096
+//     and compared against the rebuild-per-update strategy a static alias
+//     table would force (a full AliasTable::Build of the row). The speedup
+//     column is the headline (it should grow linearly with degree).
 //   * workloads  — walk throughput with a live mutation log ("churn")
 //     against the same walk on the frozen graph ("static"), so the overlay's
 //     read-path tax (one dirty-row branch per sample) and the merge cost are
@@ -23,9 +23,6 @@
 //   --workers N   workers per node (default 4)
 //   --merge-threshold N  per-row delta count that triggers a merge
 //                        (default 64; 0 = never merge)
-//   --sampler legacy|alias  dirty-row sampler for the churn legs (default
-//                        alias; alias additionally records a
-//                        deepwalk_churn_legacy leg for same-box comparison)
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,6 +30,7 @@
 
 #include "bench/bench_common.h"
 #include "src/graph/delta_store.h"
+#include "src/sampling/alias_table.h"
 #include "src/sampling/weight_class.h"
 #include "src/testing/fault_injector.h"
 
@@ -47,7 +45,6 @@ struct MutationConfig {
   bool faults = false;
   size_t workers_per_node = 4;
   uint32_t merge_threshold = 64;
-  DynamicSamplerMode sampler = DynamicSamplerMode::kAliasClass;
   std::string out_path = "BENCH_mutation.json";
 };
 
@@ -58,7 +55,7 @@ struct MutationConfig {
 struct UpdateCostResult {
   uint32_t degree = 0;
   uint64_t updates = 0;
-  double incremental_ns = 0.0;  // one weight-class bucket edit
+  double incremental_ns = 0.0;  // one LazyAliasRow::Reweight
   double rebuild_ns = 0.0;      // full row rebuild per update (alias strategy)
   double speedup = 0.0;
   double sampled_checksum = 0.0;  // defeats dead-code elimination
@@ -74,7 +71,7 @@ UpdateCostResult MeasureUpdateCost(uint32_t degree, uint64_t updates) {
   result.degree = degree;
   result.updates = updates;
 
-  WeightClassRow row;
+  LazyAliasRow row;
   row.Build(weights);
   {
     Timer timer;
@@ -87,16 +84,17 @@ UpdateCostResult MeasureUpdateCost(uint32_t degree, uint64_t updates) {
   }
   result.sampled_checksum = row.total_weight();
 
-  // Rebuild-per-update baseline: what a static per-row table costs when the
-  // row changes. Scaled down — O(degree) per update makes the full count
-  // prohibitive at the top of the sweep — and normalized per update.
+  // Rebuild-per-update baseline: what a static per-row alias table costs
+  // when the row changes. Scaled down — O(degree) per update makes the full
+  // count prohibitive at the top of the sweep — and normalized per update.
   const uint64_t rebuild_updates = updates / 64 > 0 ? updates / 64 : 1;
+  AliasTable table;
   {
     Timer timer;
     for (uint64_t i = 0; i < rebuild_updates; ++i) {
       const uint32_t idx = static_cast<uint32_t>(rng.NextUInt64(degree));
       weights[idx] = 0.5f + static_cast<real_t>(rng.NextDouble()) * 4.0f;
-      row.Build(weights);
+      table.Build(weights);
     }
     result.rebuild_ns = timer.Seconds() * 1e9 / static_cast<double>(rebuild_updates);
   }
@@ -156,7 +154,7 @@ WorkloadResult RunWalkWorkload(const std::string& name,
                                const EdgeList<WeightedEdgeData>& edges,
                                const MutationConfig& config, const MutationLog* log,
                                FaultInjector* injector, walker_id_t num_walkers,
-                               step_t walk_length, DynamicSamplerMode sampler) {
+                               step_t walk_length) {
   WalkEngineOptions opts;
   opts.num_nodes = 4;
   opts.workers_per_node = config.workers_per_node;
@@ -165,7 +163,6 @@ WorkloadResult RunWalkWorkload(const std::string& name,
   if (log != nullptr) {
     opts.mutation_log = log;
     opts.merge_threshold = config.merge_threshold;
-    opts.dynamic_sampler = sampler;
   }
   if (injector != nullptr) {
     opts.fault_injector = injector;
@@ -210,8 +207,6 @@ void WriteJson(const MutationConfig& config, const std::vector<UpdateCostResult>
   std::fprintf(f, "    \"num_nodes\": 4,\n");
   std::fprintf(f, "    \"workers_per_node\": %zu,\n", config.workers_per_node);
   std::fprintf(f, "    \"merge_threshold\": %u,\n", config.merge_threshold);
-  std::fprintf(f, "    \"dynamic_sampler\": \"%s\",\n",
-               DynamicSamplerModeName(config.sampler));
   std::fprintf(f, "    \"graph_vertices\": %llu,\n",
                static_cast<unsigned long long>(num_vertices));
   std::fprintf(f, "    \"graph_edges\": %llu\n",
@@ -283,20 +278,10 @@ int Main(int argc, char** argv) {
       config.workers_per_node = static_cast<size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--merge-threshold") == 0 && i + 1 < argc) {
       config.merge_threshold = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--sampler") == 0 && i + 1 < argc) {
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "legacy") == 0) {
-        config.sampler = DynamicSamplerMode::kLegacyRow;
-      } else if (std::strcmp(mode, "alias") == 0) {
-        config.sampler = DynamicSamplerMode::kAliasClass;
-      } else {
-        std::fprintf(stderr, "bench_mutation: unknown --sampler %s\n", mode);
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: bench_mutation [--small] [--faults] [--out FILE] "
-                   "[--workers N] [--merge-threshold N] [--sampler legacy|alias]\n");
+                   "[--workers N] [--merge-threshold N]\n");
       return 2;
     }
   }
@@ -345,15 +330,9 @@ int Main(int argc, char** argv) {
 
   std::vector<WorkloadResult> workloads;
   workloads.push_back(RunWalkWorkload("deepwalk_static", edges, config, nullptr, nullptr,
-                                      num_walkers, walk_length, config.sampler));
+                                      num_walkers, walk_length));
   workloads.push_back(RunWalkWorkload("deepwalk_churn", edges, config, &log, nullptr,
-                                      num_walkers, walk_length, config.sampler));
-  if (config.sampler == DynamicSamplerMode::kAliasClass) {
-    // Same-box A/B: the eager weight-class rows the alias sampler replaces.
-    workloads.push_back(RunWalkWorkload("deepwalk_churn_legacy", edges, config, &log,
-                                        nullptr, num_walkers, walk_length,
-                                        DynamicSamplerMode::kLegacyRow));
-  }
+                                      num_walkers, walk_length));
   if (config.faults) {
     FaultPolicy policy;
     policy.drop = 0.05;
@@ -362,8 +341,7 @@ int Main(int argc, char** argv) {
     injector.CrashNode(1, 3);
     injector.CrashOnMutationBatch(2, log.batch(6).id);
     workloads.push_back(RunWalkWorkload("deepwalk_churn_faults", edges, config, &log,
-                                        &injector, num_walkers, walk_length,
-                                        config.sampler));
+                                        &injector, num_walkers, walk_length));
     // The faulted leg must demonstrate *real* recovery, not merely survive:
     // both scheduled crashes consumed, a checkpoint+replay recovery per
     // crash, and a completed walk. Any shortfall fails the bench run (the CI

@@ -227,12 +227,11 @@ struct WalkEngineOptions {
   // mutations, the whole overlay is folded back into a fresh CSR at the next
   // batch boundary and the flat sampler state is rebuilt. 0 never merges.
   uint32_t merge_threshold = 64;
-  // Which sampler a weighted dirty row uses (docs/DYNAMIC_GRAPHS.md).
-  // kLegacyRow (default) keeps the eager weight-class rows whose RNG draw
-  // sequence the determinism matrix pins byte-for-byte; kAliasClass switches
-  // to lazy per-class alias tables — same distribution (chi-square-pinned),
-  // fewer draws, so walk bytes legitimately differ between modes.
-  DynamicSamplerMode dynamic_sampler = DynamicSamplerMode::kLegacyRow;
+  // Unread: every weighted dirty row samples through a LazyAliasRow
+  // (docs/DYNAMIC_GRAPHS.md). The field and its single value remain only
+  // because kkbench/batch.cc still assigns it; both go with the next change
+  // to kkbench.
+  DynamicSamplerMode dynamic_sampler = DynamicSamplerMode::kAliasClass;
   // Deterministic simulation mode: drains every mailbox in a canonical
   // (content-sorted) order so internal processing order is independent of
   // thread scheduling and merge timing. Walk *output* is bit-identical
@@ -279,7 +278,7 @@ struct MutationCounters {
   uint64_t rejected = 0;             // delete-of-absent / reweight-on-unweighted
   uint64_t rows_materialized = 0;    // overlay rows created (first touches)
   uint64_t full_builds = 0;          // O(degree) whole-row sampler builds
-  uint64_t bucket_builds = 0;        // lazy per-class materializations (kAliasClass)
+  uint64_t bucket_builds = 0;        // lazy per-class alias (re)builds by samples
   uint64_t incremental_updates = 0;  // O(1) single-bucket sampler updates
   uint64_t merges = 0;               // overlay -> CSR folds
   uint64_t delta_mutations = 0;      // currently absorbed by the overlay (gauge)
@@ -416,7 +415,7 @@ class WalkEngine {
       // recovery re-derives any merged graph from it) and attach the overlay.
       pristine_graph_ = graph_;
       delta_.Reset(&graph_);
-      overlay_.Reset(graph_.num_vertices(), options_.dynamic_sampler);
+      overlay_.Reset(graph_.num_vertices());
       mutation_cursor_ = 0;
       merges_ = 0;
       merge_micros_ = 0;
@@ -511,10 +510,10 @@ class WalkEngine {
       // — the invariant the recovery replay depends on.
       if (mutating_) {
         ApplyDueMutations();
-        // Once per superstep: MemoryBytes visits every overlay row, far too
+        // Once per superstep: RowBytes visits every overlay row, far too
         // slow for the per-node, per-superstep locality estimate.
         overlay_row_bytes_ =
-            overlay_.NumRows() > 0 ? overlay_.MemoryBytes() / overlay_.NumRows() : 0;
+            overlay_.NumRows() > 0 ? overlay_.RowBytes() / overlay_.NumRows() : 0;
       }
       // Snapshot before probing for crashes: the initial save at superstep 0
       // guarantees every crash finds a checkpoint at or before its epoch.
@@ -1135,8 +1134,8 @@ class WalkEngine {
 
   // Ps-proportional candidate draw at v. Unweighted dirty rows draw uniform
   // over the live degree (the flat uniform sampler's degree would be stale).
-  // Non-const: a kAliasClass overlay sample may lazily materialize the class
-  // it lands in (worker-thread-safe — see LazyAliasRow).
+  // Non-const: an overlay sample may lazily materialize the class it lands
+  // in (worker-thread-safe — see LazyAliasRow).
   vertex_id_t SampleCandidate(vertex_id_t v, Rng& rng) {
     if (DirtyRow(v)) {
       if (weighted_) {
@@ -1257,7 +1256,7 @@ class WalkEngine {
     Csr<EdgeData> merged = delta_.MergedCsr(PreparePool());
     graph_ = std::move(merged);
     delta_.Reset(&graph_);
-    overlay_.Reset(graph_.num_vertices(), options_.dynamic_sampler);
+    overlay_.Reset(graph_.num_vertices());
     ++merges_;
     PrepareStatic();  // flat sampler tables, envelope arrays, partition plan
     merge_micros_ += static_cast<uint64_t>(merge_timer.Seconds() * 1e6);
@@ -1290,7 +1289,7 @@ class WalkEngine {
                  count, log.num_batches());
     graph_ = pristine_graph_;
     delta_.Reset(&graph_);
-    overlay_.Reset(graph_.num_vertices(), options_.dynamic_sampler);
+    overlay_.Reset(graph_.num_vertices());
     merges_ = 0;
     merge_micros_ = 0;
     folded_ = MutationCounters{};

@@ -1,26 +1,24 @@
 // Bingo-style power-of-two weight-class sampling for mutable rows
 // (ROADMAP item 2; see docs/DYNAMIC_GRAPHS.md).
 //
-// A WeightClassRow buckets a row's edges by floor(log2(weight)): bucket c
-// holds weights in [2^(e_c), 2^(e_c+1)), so within a bucket the maximum /
-// minimum weight ratio is < 2 and uniform-draw-then-reject sampling accepts
-// with probability > 1/2 — O(1) expected. Sampling first picks a bucket by a
-// CDF walk over at most kNumClasses running totals, then rejects inside it.
+// A LazyAliasRow buckets a row's edges by floor(log2(weight)): class c holds
+// weights in [2^(e_c), 2^(e_c+1)). Sampling picks a class by a CDF walk over
+// at most kNumClasses running totals, then draws inside the class from a
+// per-class alias table — exactly three RNG draws, no rejection loop.
 //
-// The point of the structure is the update cost: insert appends to one
-// bucket, delete swap-removes from one bucket, reweight moves one entry
-// between two buckets — all O(1), no row rebuild (the alias table would cost
-// O(degree) per update). Every entry carries its (class, position) so the
-// engine's swap-with-last row edits mirror here in O(1) too.
+// The point of the structure is the update cost: insert, delete and reweight
+// each adjust one or two class summaries in O(1), with no row rebuild (a
+// whole-row alias table would cost O(degree) per update). A class's alias
+// table is built lazily, by the first sample that lands in it after the
+// class last changed.
 //
-// Determinism: bucket totals are maintained incrementally in double. They
+// Determinism: class totals are maintained incrementally in double. They
 // drift from the exact sum as IEEE arithmetic does, but identically for any
 // replay of the same mutation sequence — which is all the engine's
 // byte-identical-recovery contract needs.
 #ifndef SRC_SAMPLING_WEIGHT_CLASS_H_
 #define SRC_SAMPLING_WEIGHT_CLASS_H_
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -36,236 +34,12 @@
 
 namespace knightking {
 
-namespace weight_class_internal {
-
-// Shared class geometry: 64 classes covering weights in [2^-32, 2^32),
-// out-of-range weights clamped to the edge classes. -1 is the zero class
-// (edges that exist but are never sampled — reweight-to-zero parks them
-// there).
-inline constexpr int kMinExp = -32;
-inline constexpr int kNumClasses = 64;
-
-inline int8_t ClassOf(real_t w) {
-  if (w <= 0.0f) return -1;
-  int e = std::ilogb(w) - kMinExp;
-  if (e < 0) e = 0;
-  if (e >= kNumClasses) e = kNumClasses - 1;
-  return static_cast<int8_t>(e);
-}
-
-}  // namespace weight_class_internal
-
-class WeightClassRow {
- public:
-  // 64 classes covering weights in [2^-32, 2^32). Out-of-range weights clamp
-  // to the edge classes; per-bucket `bound` tracks the true maximum so
-  // rejection stays correct (just less efficient) for clamped entries.
-  static constexpr int kMinExp = weight_class_internal::kMinExp;
-  static constexpr int kNumClasses = weight_class_internal::kNumClasses;
-  // Rejection attempts before falling back to an exact in-bucket CDF scan.
-  // With in-range weights acceptance is > 1/2, so 32 straight rejections is
-  // a ~2^-32 event; the fallback bounds the tail for clamped tiny weights.
-  static constexpr int kMaxRejects = 32;
-
-  // (Re)builds from a full weight vector — the first-touch path when a clean
-  // row gets its first mutation. O(degree), counted by the overlay as a row
-  // build, never triggered by subsequent updates.
-  void Build(std::span<const real_t> weights) {
-    for (Bucket& b : buckets_) {
-      b.items.clear();
-      b.total = 0.0;
-      b.bound = 0.0f;
-    }
-    class_of_.clear();
-    pos_of_.clear();
-    weight_of_.clear();
-    total_ = 0.0;
-    max_bound_ = 0.0f;
-    class_of_.reserve(weights.size());
-    pos_of_.reserve(weights.size());
-    weight_of_.reserve(weights.size());
-    for (real_t w : weights) {
-      PushBack(w);
-    }
-  }
-
-  // Appends the edge at local index size() with weight w. O(1).
-  void PushBack(real_t w) {
-    KK_CHECK_MSG(std::isfinite(w) && w >= 0.0f, "weight-class row rejects weight %f",
-                 static_cast<double>(w));
-    const uint32_t idx = static_cast<uint32_t>(weight_of_.size());
-    weight_of_.push_back(w);
-    class_of_.push_back(0);
-    pos_of_.push_back(0);
-    Attach(idx, w);
-  }
-
-  // Mirrors the overlay row's swap-with-last delete of local index i: the
-  // last edge takes index i. O(1).
-  void SwapRemove(uint32_t i) {
-    const uint32_t last = static_cast<uint32_t>(weight_of_.size() - 1);
-    KK_DCHECK(i <= last);
-    Detach(i);
-    if (i != last) {
-      // Re-point the last edge's bucket entry at its new index.
-      const int8_t c = class_of_[last];
-      const uint32_t pos = pos_of_[last];
-      ItemsOf(c)[pos] = i;
-      class_of_[i] = c;
-      pos_of_[i] = pos;
-      weight_of_[i] = weight_of_[last];
-    }
-    class_of_.pop_back();
-    pos_of_.pop_back();
-    weight_of_.pop_back();
-  }
-
-  // Changes the weight of local index i: detaches from its current bucket,
-  // reattaches in the (possibly different) class of w. O(1).
-  void Reweight(uint32_t i, real_t w) {
-    KK_CHECK_MSG(std::isfinite(w) && w >= 0.0f, "weight-class row rejects weight %f",
-                 static_cast<double>(w));
-    KK_DCHECK(i < weight_of_.size());
-    Detach(i);
-    weight_of_[i] = w;
-    Attach(i, w);
-  }
-
-  // Samples a local edge index proportional to weight. Consumes a variable
-  // number of draws from `rng` (walker-local, so placement-independent).
-  uint32_t Sample(Rng& rng) const {
-    KK_DCHECK(total_ > 0.0);
-    const double r = rng.NextDouble(total_);
-    const Bucket* chosen = nullptr;
-    double cum = 0.0;
-    for (const Bucket& b : buckets_) {
-      if (b.items.empty() || b.total <= 0.0) continue;
-      chosen = &b;
-      cum += b.total;
-      if (r < cum) break;
-    }
-    // FP drift in the running totals can leave r >= cum; the scan then lands
-    // on the last non-empty bucket, which is the correct clamp.
-    KK_CHECK(chosen != nullptr);
-    for (int attempt = 0; attempt < kMaxRejects; ++attempt) {
-      const uint32_t k = static_cast<uint32_t>(rng.NextUInt64(chosen->items.size()));
-      const uint32_t idx = chosen->items[k];
-      if (rng.NextFloat() * chosen->bound < weight_of_[idx]) {
-        return idx;
-      }
-    }
-    return ExactScan(*chosen, rng);
-  }
-
-  double total_weight() const { return total_; }
-
-  // Monotone upper bound on every weight the row has ever held (removals do
-  // not lower it). Callers use it as a width bound, so an over-estimate costs
-  // efficiency, never correctness.
-  real_t max_weight() const { return max_bound_; }
-
-  uint32_t size() const { return static_cast<uint32_t>(weight_of_.size()); }
-
-  uint64_t MemoryBytes() const {
-    uint64_t bytes = sizeof(*this);
-    for (const Bucket& b : buckets_) {
-      bytes += b.items.capacity() * sizeof(uint32_t);
-    }
-    bytes += zero_items_.capacity() * sizeof(uint32_t);
-    bytes += class_of_.capacity() * sizeof(int8_t);
-    bytes += pos_of_.capacity() * sizeof(uint32_t);
-    bytes += weight_of_.capacity() * sizeof(real_t);
-    return bytes;
-  }
-
- private:
-  struct Bucket {
-    std::vector<uint32_t> items;  // local edge indices in this weight class
-    double total = 0.0;           // running sum of member weights
-    real_t bound = 0.0f;          // >= every member weight (rejection ceiling)
-  };
-
-  static int8_t ClassOf(real_t w) { return weight_class_internal::ClassOf(w); }
-
-  std::vector<uint32_t>& ItemsOf(int8_t c) {
-    return c < 0 ? zero_items_ : buckets_[static_cast<size_t>(c)].items;
-  }
-
-  void Attach(uint32_t idx, real_t w) {
-    const int8_t c = ClassOf(w);
-    class_of_[idx] = c;
-    if (c < 0) {
-      pos_of_[idx] = static_cast<uint32_t>(zero_items_.size());
-      zero_items_.push_back(idx);
-      return;
-    }
-    Bucket& b = buckets_[static_cast<size_t>(c)];
-    pos_of_[idx] = static_cast<uint32_t>(b.items.size());
-    b.items.push_back(idx);
-    b.total += static_cast<double>(w);
-    total_ += static_cast<double>(w);
-    const real_t class_ceiling = std::ldexp(1.0f, kMinExp + c + 1);
-    if (b.bound < class_ceiling) b.bound = class_ceiling;
-    if (b.bound < w) b.bound = w;
-    if (max_bound_ < w) max_bound_ = w;
-  }
-
-  void Detach(uint32_t idx) {
-    const int8_t c = class_of_[idx];
-    const uint32_t pos = pos_of_[idx];
-    std::vector<uint32_t>& items = ItemsOf(c);
-    KK_DCHECK(pos < items.size() && items[pos] == idx);
-    const uint32_t moved = items.back();
-    items[pos] = moved;
-    pos_of_[moved] = pos;
-    items.pop_back();
-    if (c >= 0) {
-      Bucket& b = buckets_[static_cast<size_t>(c)];
-      const double w = static_cast<double>(weight_of_[idx]);
-      b.total -= w;
-      total_ -= w;
-      if (b.items.empty()) {
-        // Zero the drift so an emptied class contributes exactly nothing.
-        total_ -= b.total;
-        b.total = 0.0;
-        b.bound = 0.0f;
-      }
-      if (total_ < 0.0) total_ = 0.0;
-    }
-  }
-
-  // Exact in-bucket CDF scan, reached only after kMaxRejects straight
-  // rejections (clamped-weight pathology). O(bucket size), still correct and
-  // deterministic.
-  uint32_t ExactScan(const Bucket& b, Rng& rng) const {
-    const double r = rng.NextDouble(b.total);
-    double cum = 0.0;
-    for (uint32_t idx : b.items) {
-      cum += static_cast<double>(weight_of_[idx]);
-      if (r < cum) return idx;
-    }
-    for (size_t k = b.items.size(); k-- > 0;) {
-      if (weight_of_[b.items[k]] > 0.0f) return b.items[k];
-    }
-    return b.items.back();
-  }
-
-  std::array<Bucket, kNumClasses> buckets_;
-  std::vector<uint32_t> zero_items_;
-  std::vector<int8_t> class_of_;   // per local index; -1 = zero class
-  std::vector<uint32_t> pos_of_;   // per local index: position within its bucket
-  std::vector<real_t> weight_of_;  // per local index
-  double total_ = 0.0;
-  real_t max_bound_ = 0.0f;
-};
-
-// Lazy per-class alias row: Bingo's full radix bias factorization (ROADMAP
-// item 2), the `kAliasClass` dynamic sampler. Where WeightClassRow eagerly
-// builds every bucket's item list on first touch and rejection-samples inside
-// a bucket, this row does the minimum work each event actually needs:
+// Lazy per-class alias row: Bingo's radix bias factorization (ROADMAP item
+// 2), the sampler behind every weighted dirty row. It does the minimum work
+// each event actually needs:
 //
 //   * Build() is one O(degree) summary pass — per-class counts and weight
-//     totals plus a per-edge class tag. No item lists, no 64-bucket array.
+//     totals plus a per-edge class tag. No item lists, no alias tables.
 //   * The first Sample() landing in a class materializes that class only:
 //     its member list (ascending edge-index order) and a Vose alias table
 //     over the member weights, O(degree) + O(bucket) once. Classes a walk
@@ -283,14 +57,16 @@ class WeightClassRow {
 // sampling reproduces byte-identical draws once sampling resumes.
 //
 // Thread safety: mutators and Build are driver-only (between supersteps, no
-// concurrent reader — same contract as WeightClassRow). Sample() runs on
-// concurrent workers and may materialize a class: builds serialize on the
-// row mutex and publish via a release-store on the per-class ready bitmask,
-// which readers acquire-load before touching items/prob/alias lock-free.
+// concurrent reader). Sample() runs on concurrent workers and may
+// materialize a class: builds serialize on the row mutex and publish via a
+// release-store on the per-class ready bitmask, which readers acquire-load
+// before touching items/prob/alias lock-free.
 class LazyAliasRow {
  public:
-  static constexpr int kMinExp = weight_class_internal::kMinExp;
-  static constexpr int kNumClasses = weight_class_internal::kNumClasses;
+  // 64 classes covering weights in [2^-32, 2^32); out-of-range weights clamp
+  // to the edge classes.
+  static constexpr int kMinExp = -32;
+  static constexpr int kNumClasses = 64;
 
   // O(degree) summary build — the first-touch path when a clean row gets its
   // first mutation. Counted by the overlay as a full build.
@@ -314,7 +90,7 @@ class LazyAliasRow {
     KK_CHECK_MSG(std::isfinite(w) && w >= 0.0f, "weight-class row rejects weight %f",
                  static_cast<double>(w));
     const uint32_t idx = size();
-    const int8_t c = weight_class_internal::ClassOf(w);
+    const int8_t c = ClassOf(w);
     weight_of_.push_back(w);
     class_of_.push_back(c);
     if (c < 0) return;
@@ -354,7 +130,7 @@ class LazyAliasRow {
                  static_cast<double>(w));
     KK_DCHECK(i < size());
     const int8_t oc = class_of_[i];
-    const int8_t nc = weight_class_internal::ClassOf(w);
+    const int8_t nc = ClassOf(w);
     if (oc == nc && oc >= 0) {
       ClassBucket& cb = *FindBucket(oc);
       const double old_w = static_cast<double>(weight_of_[i]);
@@ -408,7 +184,8 @@ class LazyAliasRow {
   double total_weight() const { return total_; }
 
   // Monotone upper bound on every weight the row has ever held (removals do
-  // not lower it) — same width-bound contract as WeightClassRow.
+  // not lower it). Callers use it as a width bound, so an over-estimate costs
+  // efficiency, never correctness.
   real_t max_weight() const { return max_bound_; }
 
   uint32_t size() const { return static_cast<uint32_t>(weight_of_.size()); }
@@ -441,6 +218,16 @@ class LazyAliasRow {
     std::vector<real_t> prob;
     std::vector<uint32_t> alias;
   };
+
+  // -1 is the zero class: edges that exist but are never sampled
+  // (reweight-to-zero parks them there).
+  static int8_t ClassOf(real_t w) {
+    if (w <= 0.0f) return -1;
+    int e = std::ilogb(w) - kMinExp;
+    if (e < 0) e = 0;
+    if (e >= kNumClasses) e = kNumClasses - 1;
+    return static_cast<int8_t>(e);
+  }
 
   // Live-class entry for c, inserted (sorted by class id) on first use.
   // Driver-only: samples never create classes.
@@ -535,128 +322,74 @@ class LazyAliasRow {
   Mutex mu_;
 };
 
-// Dirty-row sampler implementation, selected per engine run
-// (WalkEngineOptions::dynamic_sampler; docs/DYNAMIC_GRAPHS.md).
+// Type of WalkEngineOptions::dynamic_sampler (see the comment there).
 enum class DynamicSamplerMode : uint8_t {
-  // Eager WeightClassRow per dirty vertex: every bucket's item list built on
-  // first touch, CDF-over-buckets + in-bucket rejection. The byte-stable
-  // default — the determinism matrix pins walk bytes against this mode's
-  // RNG draw sequence.
-  kLegacyRow = 0,
-  // LazyAliasRow per dirty vertex: O(degree) summary on first touch, item
-  // lists + per-class alias tables materialized by the first sample landing
-  // in each class. Always three draws per sample — a different (and shorter)
-  // draw sequence, so flipping modes legitimately changes walk bytes.
-  kAliasClass = 1,
+  kAliasClass,
 };
 
-inline const char* DynamicSamplerModeName(DynamicSamplerMode mode) {
-  return mode == DynamicSamplerMode::kAliasClass ? "alias" : "legacy";
-}
-
-// Per-dirty-vertex sampler rows, riding alongside the flat alias/ITS tables:
-// the engine samples a clean vertex from the static tables and a dirty
-// vertex from its overlay row, through whichever row type `mode` selects.
-// Counts full builds (first touch, O(degree)) separately from bucket builds
-// (lazy per-class materializations, kAliasClass only) and incremental
-// updates (O(1)) — the tests pin "no rebuild per update" on these counters.
+// Per-dirty-vertex LazyAliasRows, riding alongside the flat alias/ITS
+// tables: the engine samples a clean vertex from the static tables and a
+// dirty vertex from its overlay row. Counts full builds (first touch,
+// O(degree)) separately from bucket builds (lazy per-class
+// materializations) and incremental updates (O(1)) — the tests pin "no
+// rebuild per update" on these counters.
 class DynamicSamplerOverlay {
  public:
-  void Reset(vertex_id_t num_vertices,
-             DynamicSamplerMode mode = DynamicSamplerMode::kLegacyRow) {
-    mode_ = mode;
+  void Reset(vertex_id_t num_vertices) {
     slot_.assign(num_vertices, kInvalidSlot);
     rows_.clear();
-    lazy_rows_.clear();
     full_builds_ = 0;
     incremental_updates_ = 0;
   }
 
-  DynamicSamplerMode mode() const { return mode_; }
-
-  bool HasRow(vertex_id_t v) const { return slot_[v] != kInvalidSlot; }
-
   void BuildRow(vertex_id_t v, std::span<const real_t> weights) {
     if (slot_[v] == kInvalidSlot) {
-      if (mode_ == DynamicSamplerMode::kLegacyRow) {
-        slot_[v] = static_cast<uint32_t>(rows_.size());
-        rows_.emplace_back();
-      } else {
-        // LazyAliasRow is address-pinned (mutex + atomics), so rows live
-        // behind unique_ptr instead of inline in the vector.
-        slot_[v] = static_cast<uint32_t>(lazy_rows_.size());
-        lazy_rows_.push_back(std::make_unique<LazyAliasRow>());
-      }
+      // LazyAliasRow is address-pinned (mutex + atomics), so rows live
+      // behind unique_ptr instead of inline in the vector.
+      slot_[v] = static_cast<uint32_t>(rows_.size());
+      rows_.push_back(std::make_unique<LazyAliasRow>());
     }
-    if (mode_ == DynamicSamplerMode::kLegacyRow) {
-      rows_[slot_[v]].Build(weights);
-    } else {
-      lazy_rows_[slot_[v]]->Build(weights);
-    }
+    rows_[slot_[v]]->Build(weights);
     ++full_builds_;
   }
 
   void PushBack(vertex_id_t v, real_t w) {
-    if (mode_ == DynamicSamplerMode::kLegacyRow) {
-      Row(v).PushBack(w);
-    } else {
-      Lazy(v).PushBack(w);
-    }
+    Row(v).PushBack(w);
     ++incremental_updates_;
   }
 
   void SwapRemove(vertex_id_t v, uint32_t local_index) {
-    if (mode_ == DynamicSamplerMode::kLegacyRow) {
-      Row(v).SwapRemove(local_index);
-    } else {
-      Lazy(v).SwapRemove(local_index);
-    }
+    Row(v).SwapRemove(local_index);
     ++incremental_updates_;
   }
 
   void Reweight(vertex_id_t v, uint32_t local_index, real_t w) {
-    if (mode_ == DynamicSamplerMode::kLegacyRow) {
-      Row(v).Reweight(local_index, w);
-    } else {
-      Lazy(v).Reweight(local_index, w);
-    }
+    Row(v).Reweight(local_index, w);
     ++incremental_updates_;
   }
 
-  // Non-const: a kAliasClass sample may materialize the class it lands in
-  // (thread-safe — see LazyAliasRow).
-  uint32_t Sample(vertex_id_t v, Rng& rng) {
-    return mode_ == DynamicSamplerMode::kLegacyRow ? Row(v).Sample(rng)
-                                                   : Lazy(v).Sample(rng);
-  }
-  double TotalWeight(vertex_id_t v) const {
-    return mode_ == DynamicSamplerMode::kLegacyRow ? Row(v).total_weight()
-                                                   : Lazy(v).total_weight();
-  }
-  real_t MaxWeight(vertex_id_t v) const {
-    return mode_ == DynamicSamplerMode::kLegacyRow ? Row(v).max_weight()
-                                                   : Lazy(v).max_weight();
-  }
+  // Non-const: a sample may materialize the class it lands in (thread-safe
+  // — see LazyAliasRow).
+  uint32_t Sample(vertex_id_t v, Rng& rng) { return Row(v).Sample(rng); }
+  double TotalWeight(vertex_id_t v) const { return Row(v).total_weight(); }
+  real_t MaxWeight(vertex_id_t v) const { return Row(v).max_weight(); }
 
-  size_t NumRows() const {
-    return mode_ == DynamicSamplerMode::kLegacyRow ? rows_.size() : lazy_rows_.size();
-  }
+  size_t NumRows() const { return rows_.size(); }
   uint64_t full_builds() const { return full_builds_; }
   uint64_t incremental_updates() const { return incremental_updates_; }
   uint64_t bucket_builds() const {
     uint64_t total = 0;
-    for (const auto& row : lazy_rows_) {
+    for (const auto& row : rows_) {
       total += row->bucket_builds();
     }
     return total;
   }
 
-  uint64_t MemoryBytes() const {
-    uint64_t bytes = slot_.capacity() * sizeof(uint32_t);
-    for (const WeightClassRow& r : rows_) {
-      bytes += r.MemoryBytes();
-    }
-    for (const auto& r : lazy_rows_) {
+  // Bytes held by the rows, summed. Excludes the per-vertex slot index: it
+  // scales with the graph, not with the number of dirty rows.
+  uint64_t RowBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& r : rows_) {
       bytes += r->MemoryBytes();
     }
     return bytes;
@@ -665,27 +398,17 @@ class DynamicSamplerOverlay {
  private:
   static constexpr uint32_t kInvalidSlot = 0xffffffffu;
 
-  WeightClassRow& Row(vertex_id_t v) {
+  LazyAliasRow& Row(vertex_id_t v) {
     KK_DCHECK(slot_[v] != kInvalidSlot);
-    return rows_[slot_[v]];
+    return *rows_[slot_[v]];
   }
-  const WeightClassRow& Row(vertex_id_t v) const {
+  const LazyAliasRow& Row(vertex_id_t v) const {
     KK_DCHECK(slot_[v] != kInvalidSlot);
-    return rows_[slot_[v]];
-  }
-  LazyAliasRow& Lazy(vertex_id_t v) {
-    KK_DCHECK(slot_[v] != kInvalidSlot);
-    return *lazy_rows_[slot_[v]];
-  }
-  const LazyAliasRow& Lazy(vertex_id_t v) const {
-    KK_DCHECK(slot_[v] != kInvalidSlot);
-    return *lazy_rows_[slot_[v]];
+    return *rows_[slot_[v]];
   }
 
-  DynamicSamplerMode mode_ = DynamicSamplerMode::kLegacyRow;
   std::vector<uint32_t> slot_;
-  std::vector<WeightClassRow> rows_;                     // kLegacyRow
-  std::vector<std::unique_ptr<LazyAliasRow>> lazy_rows_;  // kAliasClass
+  std::vector<std::unique_ptr<LazyAliasRow>> rows_;
   uint64_t full_builds_ = 0;
   uint64_t incremental_updates_ = 0;
 };

@@ -240,7 +240,6 @@ std::string MutationReport(double churn_walks_per_sec, double recoveries) {
     "bench": "mutation",
     "config": {"small": true, "faults": true, "num_nodes": 4,
                "workers_per_node": 0, "merge_threshold": 64,
-               "dynamic_sampler": "alias",
                "graph_vertices": 100, "graph_edges": 400},
     "update_cost": [{
       "degree": 256, "updates": 1000, "incremental_ns_per_update": 15.0,

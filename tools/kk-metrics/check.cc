@@ -284,8 +284,7 @@ void CheckMutation(const JsonValue& doc, CheckResult* r) {
       !RequireNumber(*config, "workers_per_node", r, "config") ||
       !RequireNumber(*config, "merge_threshold", r, "config") ||
       !RequireNumber(*config, "graph_vertices", r, "config") ||
-      !RequireNumber(*config, "graph_edges", r, "config") ||
-      !OptionalEnum(*config, "dynamic_sampler", {"legacy", "alias"}, r, "config")) {
+      !RequireNumber(*config, "graph_edges", r, "config")) {
     return;
   }
   // Part 1: incremental-vs-rebuild update microbenchmark, one row per degree.
