@@ -43,6 +43,7 @@
 #include "src/obs/metrics_registry.h"
 #include "src/service/segment_index.h"
 #include "src/util/mutex.h"
+#include "src/util/radix_sort.h"
 #include "src/util/rng.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/timer.h"
@@ -322,12 +323,20 @@ class WalkService {
   // single engine run covering ALL live-fallback walks of the batch.
   // Results come back in submission order.
   //
+  // With WalkServiceOptions::engine.trace attached, the pass is recorded as
+  // a "service.batch" span on the driver lane holding one span per stage
+  // (service.stitch, service.run, service.accumulate, service.finalize); the
+  // engine's own phase spans nest inside service.run.
+  //
   // serve_mu_ serializes concurrent ProcessBatch callers and covers the
   // whole pass; mu_ is held only to drain the queue (adopting any staged
   // index first) and to fold counters back in, so Submit stays responsive
   // while the batch serves. Lock order: serve_mu_ before mu_, always.
   std::vector<ServiceResult> ProcessBatch() KK_EXCLUDES(serve_mu_, mu_) {
     MutexLock serve(serve_mu_);
+    obs::TraceRecorder* const trace = options_.engine.trace;
+    const double batch_start = trace != nullptr ? trace->Now() : 0.0;
+    uint64_t batch_number = 0;
     std::vector<Pending> batch;
     {
       MutexLock lock(mu_);
@@ -343,6 +352,7 @@ class WalkService {
         return {};
       }
       counters_.batches += 1;
+      batch_number = counters_.batches;
       batch.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(queue_.front()));
@@ -374,32 +384,36 @@ class WalkService {
     ServiceCounters delta;
 
     // Stitch every miss from the index; collect live-fallback cursors.
-    Timer stitch_timer;
     std::vector<LiveWalk> live;
-    for (size_t wi = 0; wi < work.size(); ++wi) {
-      StitchQuery(wi, work[wi], &live, &delta);
+    {
+      StageTimer stage(trace, "service.stitch", &stage_seconds_.stitch, batch_number);
+      for (size_t wi = 0; wi < work.size(); ++wi) {
+        StitchQuery(wi, work[wi], &live, &delta);
+      }
     }
-    stage_seconds_.stitch += stitch_timer.Seconds();
 
     // One shared engine run finishes every pending walk of the batch.
-    if (!live.empty()) {
-      Timer run_timer;
-      RunLiveWalks(work, live);
-      stage_seconds_.run += run_timer.Seconds();
-      Timer accumulate_timer;
-      AccumulateLivePaths(live, &work, &delta);
-      stage_seconds_.accumulate += accumulate_timer.Seconds();
+    {
+      StageTimer stage(trace, "service.run", &stage_seconds_.run, batch_number);
+      if (!live.empty()) {
+        RunLiveWalks(work, live);
+      }
+    }
+    {
+      StageTimer stage(trace, "service.accumulate", &stage_seconds_.accumulate, batch_number);
+      AccumulateVisits(live, &work, &delta);
     }
 
-    Timer finalize_timer;
-    for (QueryWork& w : work) {
-      ServiceResult r = Finalize(w);
-      if (options_.cache_capacity > 0) {
-        cache_.Put(w.cache_key, r);
+    {
+      StageTimer stage(trace, "service.finalize", &stage_seconds_.finalize, batch_number);
+      for (QueryWork& w : work) {
+        ServiceResult r = Finalize(w);
+        if (options_.cache_capacity > 0) {
+          cache_.Put(w.cache_key, r);
+        }
+        results[w.slot] = std::move(r);
       }
-      results[w.slot] = std::move(r);
     }
-    stage_seconds_.finalize += finalize_timer.Seconds();
 
     {
       MutexLock lock(mu_);
@@ -415,6 +429,10 @@ class WalkService {
         }
         latency_.Record(static_cast<uint64_t>(batch[i].timer.Seconds() * 1e9));
       }
+    }
+    if (trace != nullptr) {
+      trace->RecordSpan("service.batch", 0, 0, batch_start, trace->Now() - batch_start,
+                        batch_number);
     }
     return results;
   }
@@ -530,8 +548,39 @@ class WalkService {
   struct StageSeconds {
     double stitch = 0.0;      // index stitching of every cache miss
     double run = 0.0;         // the shared live-walk engine Run and path assembly
-    double accumulate = 0.0;  // folding live-walk paths into their queries
-    double finalize = 0.0;    // sort-and-count answers, cache Put
+    double accumulate = 0.0;  // filling each query's logs from segments and live paths
+    double finalize = 0.0;    // radix-sort-and-count answers, cache Put
+  };
+
+  // Scoped timer of one serving stage: on exit adds the stage's wall time to
+  // *seconds and, with a trace recorder attached, records it as a span on
+  // the driver lane, tagged with the batch number.
+  class StageTimer {
+   public:
+    StageTimer(obs::TraceRecorder* trace, const char* name, double* seconds,
+               uint64_t batch_number)
+        : trace_(trace),
+          name_(name),
+          seconds_(seconds),
+          batch_number_(batch_number),
+          span_start_(trace != nullptr ? trace->Now() : 0.0) {}
+    ~StageTimer() {
+      *seconds_ += timer_.Seconds();
+      if (trace_ != nullptr) {
+        trace_->RecordSpan(name_, 0, 0, span_start_, trace_->Now() - span_start_,
+                           batch_number_);
+      }
+    }
+    StageTimer(const StageTimer&) = delete;
+    StageTimer& operator=(const StageTimer&) = delete;
+
+   private:
+    obs::TraceRecorder* trace_;
+    const char* name_;
+    double* seconds_;
+    uint64_t batch_number_;
+    double span_start_;
+    Timer timer_;
   };
 
   // One walk that ran out of index segments and needs a live remainder.
@@ -547,10 +596,16 @@ class WalkService {
     size_t slot = 0;  // position in the batch / results vector
     ServiceQuery query;
     uint64_t cache_key = 0;
-    // PPR accumulation: one entry per visit and one per finished walk, in
-    // arrival order. Finalize sorts each log once and counts its runs.
+    // PPR accumulation: one entry per visit and one per finished walk.
+    // Finalize sorts each log once and counts its runs. The visited parts of
+    // the query's stitched segments are stitched_[stitched_begin,
+    // stitched_end), holding visit_count visits until AccumulateVisits adds
+    // the live paths and fills `visits` with one allocation.
     std::vector<vertex_id_t> visits;
     std::vector<vertex_id_t> endpoints;
+    size_t stitched_begin = 0;
+    size_t stitched_end = 0;
+    size_t visit_count = 0;
     // Context accumulation.
     std::vector<vertex_id_t> context;
   };
@@ -611,6 +666,10 @@ class WalkService {
     };
 
     uint32_t num_walks = q.kind == QueryKind::kPpr ? std::max(q.count, 1u) : 1u;
+    if (q.kind == QueryKind::kPpr) {
+      w.endpoints.reserve(num_walks);  // every walk ends exactly once
+    }
+    w.stitched_begin = stitched_.size();
     for (uint32_t walk = 0; walk < num_walks; ++walk) {
       vertex_id_t cur = q.vertex;
       // Steps still wanted (context only); PPR walks are uncapped (0).
@@ -630,7 +689,8 @@ class WalkService {
           // seg[0] is `cur`: the walk start on the first segment (count it),
           // an already-counted endpoint on continuations (skip it).
           auto visited = seg.subspan(stitched_any ? 1 : 0);
-          w.visits.insert(w.visits.end(), visited.begin(), visited.end());
+          stitched_.push_back(visited);
+          w.visit_count += visited.size();
         } else {
           // Context = vertices *after* the walk start; seg[0] is never new
           // material (the query vertex on the first segment, a duplicate
@@ -655,6 +715,7 @@ class WalkService {
         live->push_back(LiveWalk{work_idx, walk, cur, remaining, stitched_any});
       }
     }
+    w.stitched_end = stitched_.size();
   }
 
   // Runs every pending live walk of the batch as ONE engine pass with
@@ -692,10 +753,11 @@ class WalkService {
     KK_CHECK(live_paths_.num_paths() == live.size());
   }
 
-  // Folds each live walk's path into its query: PPR visits and endpoint,
-  // or context vertices.
-  void AccumulateLivePaths(const std::vector<LiveWalk>& live, std::vector<QueryWork>* work,
-                           ServiceCounters* delta) KK_REQUIRES(serve_mu_) {
+  // Fills each PPR query's visit log with its stitched segments and then
+  // its live paths, reserving the exact total first, and folds each live
+  // walk's endpoint or context vertices into its query.
+  void AccumulateVisits(const std::vector<LiveWalk>& live, std::vector<QueryWork>* work,
+                        ServiceCounters* delta) KK_REQUIRES(serve_mu_) {
     for (size_t i = 0; i < live.size(); ++i) {
       const LiveWalk& lw = live[i];
       QueryWork& w = (*work)[lw.work_idx];
@@ -703,6 +765,21 @@ class WalkService {
       KK_CHECK(!path.empty() && path.front() == lw.cur);
       delta->live_walks += 1;
       delta->live_walk_steps += path.size() - 1;
+      if (w.query.kind == QueryKind::kPpr) {
+        w.visit_count += path.size() - (lw.stitched_any ? 1 : 0);
+      }
+    }
+    for (QueryWork& w : *work) {
+      w.visits.reserve(w.visit_count);
+      for (size_t p = w.stitched_begin; p < w.stitched_end; ++p) {
+        w.visits.insert(w.visits.end(), stitched_[p].begin(), stitched_[p].end());
+      }
+    }
+    stitched_.clear();  // its views must not outlive the batch's index
+    for (size_t i = 0; i < live.size(); ++i) {
+      const LiveWalk& lw = live[i];
+      QueryWork& w = (*work)[lw.work_idx];
+      std::span<const vertex_id_t> path = live_paths_.Path(i);
       if (w.query.kind == QueryKind::kPpr) {
         // path[0] == cur: already counted when this walk stitched at least
         // one segment; a never-stitched walk starts fresh here and its
@@ -719,13 +796,15 @@ class WalkService {
   }
 
   // Sorts `log` and returns one (vertex, value(run length)) pair per distinct
-  // vertex, ascending. The runs are counted before the output is filled so
-  // its capacity is exact: results live on in the cache and in callers'
-  // hands, and growth slack there would be pure resident overhead.
+  // vertex, ascending. The sort is a radix sort on vertex ids with one pass
+  // per byte of the largest id; it orders exactly as a comparison sort
+  // would. The runs are counted before the output is filled so its
+  // capacity is exact: results live on in the cache and in callers' hands,
+  // and growth slack there would be pure resident overhead.
   template <typename T, typename ValueFn>
-  static std::vector<std::pair<vertex_id_t, T>> CountRuns(std::vector<vertex_id_t>& log,
-                                                          ValueFn value) {
-    std::sort(log.begin(), log.end());
+  std::vector<std::pair<vertex_id_t, T>> CountRuns(std::vector<vertex_id_t>& log,
+                                                   ValueFn value) KK_REQUIRES(serve_mu_) {
+    RadixSort(log, sort_scratch_, engine_->graph().num_vertices() - 1);
     size_t distinct = log.empty() ? 0 : 1;
     for (size_t i = 1; i < log.size(); ++i) {
       if (log[i] != log[i - 1]) {
@@ -745,7 +824,7 @@ class WalkService {
     return runs;
   }
 
-  ServiceResult Finalize(QueryWork& w) {
+  ServiceResult Finalize(QueryWork& w) KK_REQUIRES(serve_mu_) {
     ServiceResult r;
     r.query = w.query;
     if (w.query.kind == QueryKind::kPpr) {
@@ -778,8 +857,14 @@ class WalkService {
   // mu_ — a serve_mu_ holder may take mu_, never the reverse.
   mutable Mutex serve_mu_;
   SegmentIndex index_ KK_GUARDED_BY(serve_mu_);
-  // Live-walk paths of the batch in flight; capacity persists across batches.
+  // Per-batch scratch; capacity persists across batches. live_paths_ holds
+  // the live-walk paths of the batch in flight, stitched_ the visited parts
+  // of its stitched PPR segments (views into index_, which a batch never
+  // swaps; empty between batches), and sort_scratch_ is CountRuns' radix
+  // ping-pong buffer.
   FlatPaths live_paths_ KK_GUARDED_BY(serve_mu_);
+  std::vector<std::span<const vertex_id_t>> stitched_ KK_GUARDED_BY(serve_mu_);
+  std::vector<vertex_id_t> sort_scratch_ KK_GUARDED_BY(serve_mu_);
   double index_build_seconds_ KK_GUARDED_BY(serve_mu_) = 0.0;
   StageSeconds stage_seconds_ KK_GUARDED_BY(serve_mu_);
 

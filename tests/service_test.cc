@@ -23,6 +23,7 @@
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics_registry.h"
+#include "src/obs/trace.h"
 #include "src/service/segment_index.h"
 #include "src/service/walk_service.h"
 #include "src/util/rng.h"
@@ -374,6 +375,77 @@ TEST(ServiceMetricsTest, StageSecondsAreUnstableGaugesPerStage) {
             std::string::npos);
 }
 
+// With a trace recorder attached, every non-empty ProcessBatch records one
+// service.batch span on the driver lane holding its four stage spans in
+// order, and the live-walk engine run's own spans nest inside service.run.
+TEST(ServiceTraceTest, BatchSpansHoldStageSpansAndEngineSpans) {
+  obs::TraceRecorder trace;
+  WalkServiceOptions opts = BaseOptions(WorkersFromEnv(), 0);
+  opts.segments_per_vertex = 1;  // one segment per vertex: live walks too
+  opts.engine.trace = &trace;
+  WalkService<EmptyEdgeData> service(TestGraph(), opts);
+  service.BuildIndex();
+  trace.Reset();  // drop the index build's engine spans
+
+  EXPECT_TRUE(service.ProcessBatch().empty());
+  EXPECT_EQ(trace.size(), 0u) << "an empty queue is not a batch";
+  service.ServeOne(ServiceQuery{QueryKind::kPpr, 4, 30});
+  ASSERT_TRUE(service.Submit(ServiceQuery{QueryKind::kPpr, 9, 30}));
+  ASSERT_TRUE(service.Submit(ServiceQuery{QueryKind::kContext, 9, 5}));
+  ASSERT_EQ(service.ProcessBatch().size(), 2u);
+  ASSERT_GT(service.counters().live_walks, 0u);
+
+  const std::vector<std::string> kStages = {"service.stitch", "service.run",
+                                            "service.accumulate", "service.finalize"};
+  std::vector<obs::TraceRecorder::Event> batches;
+  std::vector<obs::TraceRecorder::Event> stages;
+  std::vector<obs::TraceRecorder::Event> engine;
+  for (const obs::TraceRecorder::Event& e : trace.TakeEvents()) {
+    const std::string name = e.name;
+    if (name == "service.batch") {
+      batches.push_back(e);
+    } else if (name.rfind("service.", 0) == 0) {
+      stages.push_back(e);
+    } else {
+      engine.push_back(e);
+    }
+  }
+  auto inside = [](const obs::TraceRecorder::Event& inner,
+                   const obs::TraceRecorder::Event& outer) {
+    return inner.ts >= outer.ts && inner.ts + inner.dur <= outer.ts + outer.dur + 1e-9;
+  };
+  ASSERT_EQ(batches.size(), 2u);
+  ASSERT_EQ(stages.size(), 2 * kStages.size());
+  ASSERT_FALSE(engine.empty());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(batches[b].pid, 0u);
+    EXPECT_EQ(batches[b].iteration, b + 1) << "spans carry the batch number";
+    for (size_t s = 0; s < kStages.size(); ++s) {
+      const obs::TraceRecorder::Event& stage = stages[b * kStages.size() + s];
+      EXPECT_EQ(stage.name, kStages[s]);
+      EXPECT_EQ(stage.pid, 0u);
+      EXPECT_EQ(stage.iteration, b + 1);
+      EXPECT_TRUE(inside(stage, batches[b])) << kStages[s] << " of batch " << b + 1;
+      if (s > 0) {
+        const obs::TraceRecorder::Event& prev = stages[b * kStages.size() + s - 1];
+        EXPECT_GE(stage.ts + 1e-9, prev.ts + prev.dur) << kStages[s] << " of batch " << b + 1;
+      }
+    }
+  }
+  for (const obs::TraceRecorder::Event& e : engine) {
+    const bool in_a_run = inside(e, stages[1]) || inside(e, stages[kStages.size() + 1]);
+    EXPECT_TRUE(in_a_run) << "engine span " << e.name << " outside service.run";
+  }
+
+  // A service without a recorder records no spans.
+  WalkServiceOptions untraced = opts;
+  untraced.engine.trace = nullptr;
+  WalkService<EmptyEdgeData> quiet(TestGraph(), untraced);
+  quiet.BuildIndex();
+  quiet.ServeOne(ServiceQuery{QueryKind::kPpr, 4, 30});
+  EXPECT_EQ(trace.size(), 0u);
+}
+
 // The visit total behind a score vector: the smallest T for which every
 // score is an integral multiple of 1/T, or 0 when no T up to 10^6 is.
 uint64_t VisitTotalOf(const ServiceResult& r) {
@@ -472,6 +544,74 @@ TEST(ServiceQueryTest, PprAnswersWithRevisitsAreSortedCountedAndExactlySized) {
     EXPECT_EQ(walks, q.count);
     ExpectPprAnswerShape(r, walks + (after.live_walk_steps - before.live_walk_steps));
   }
+}
+
+// FNV-1a 64 of `bytes`.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A fixed graph, seed and query trace whose whole answer stream hashes to a
+// recorded constant, so any change to an answer byte (sort order, counting,
+// score arithmetic, stitching or live-walk randomness) is deliberate. The
+// graph has more than 256 vertices so answer assembly sorts multi-byte ids;
+// its hubs make PPR walks revisit; two short segments per vertex mix
+// stitched and live walks; a small cache and 16-query batches add hits and
+// batch boundaries.
+TEST(ServiceGoldenTest, AnswerStreamMatchesRecordedHash) {
+  constexpr vertex_id_t kVertices = 600;
+  WalkServiceOptions opts = BaseOptions(WorkersFromEnv(), 8);
+  opts.segments_per_vertex = 2;
+  opts.segment_cap = 6;
+  opts.terminate_prob = 0.1;
+  opts.max_batch = 16;
+  WalkService<EmptyEdgeData> service(
+      Csr<EmptyEdgeData>::FromEdgeList(GenerateTruncatedPowerLaw(kVertices, 2.2, 2, 24, 11)),
+      opts);
+  service.BuildIndex();
+
+  std::vector<ServiceQuery> trace;
+  CounterRng rng(2024);
+  for (int i = 0; i < 64; ++i) {
+    ServiceQuery q;
+    if (i % 5 == 4) {
+      q.kind = QueryKind::kContext;
+      q.count = 8;
+    } else {
+      q.kind = QueryKind::kPpr;
+      q.count = 24;
+    }
+    // Half the trace comes from a 16-vertex pool so the cache hits.
+    q.vertex = static_cast<vertex_id_t>(rng.Next() % (i % 2 == 0 ? 16 : kVertices));
+    trace.push_back(q);
+  }
+  std::string stream;
+  size_t revisiting_answers = 0;
+  size_t next = 0;
+  while (next < trace.size() || service.queue_depth() > 0) {
+    while (next < trace.size() && service.Submit(trace[next])) {
+      ++next;
+    }
+    for (const ServiceResult& r : service.ProcessBatch()) {
+      stream += r.Canonical();
+      if (r.query.kind == QueryKind::kPpr && VisitTotalOf(r) > r.scores.size()) {
+        ++revisiting_answers;
+      }
+    }
+  }
+
+  const ServiceCounters c = service.counters();
+  EXPECT_GT(revisiting_answers, 0u);
+  EXPECT_EQ(c.served, trace.size());
+  EXPECT_GT(c.segments_stitched, 0u);
+  EXPECT_GT(c.live_walks, 0u);
+  EXPECT_GT(service.cache().hits(), 0u);
+  EXPECT_EQ(Fnv1a64(stream), 0x4034fa8899499408ULL) << std::hex << "stream hash 0x" << Fnv1a64(stream);
 }
 
 // --- Segment-index corruption matrix ----------------------------------

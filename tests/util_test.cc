@@ -1,17 +1,20 @@
 // Unit tests for src/util: RNG determinism and distribution sanity, thread
-// pool scheduling, statistics accumulators.
+// pool scheduling, statistics accumulators, radix sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <vector>
 
+#include "src/util/radix_sort.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
+#include "src/util/types.h"
 
 namespace knightking {
 namespace {
@@ -215,6 +218,50 @@ TEST(TimerTest, MeasuresElapsedTime) {
   }
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_LT(t.Seconds(), 10.0);
+}
+
+// Every (size, id range) pair, seeded, against std::sort. The ranges take
+// one to four 8-bit passes, so both pass parities (the odd count trades
+// buffers with the scratch vector) and the top byte of 32-bit ids are
+// covered; every log holds its range's largest id. One scratch vector is
+// reused throughout, as the service reuses it, so it arrives both larger
+// and smaller than the log it sorts.
+TEST(RadixSortTest, MatchesStdSortAcrossSizesAndIdRanges) {
+  const vertex_id_t kMaxKeys[] = {(1u << 8) - 1, (1u << 16) - 1, (1u << 24) - 1,
+                                  kInvalidVertex - 1};
+  const size_t kSizes[] = {0, 1, 32, 2560};
+  std::vector<vertex_id_t> scratch;
+  Rng rng(20260418);
+  for (vertex_id_t max_key : kMaxKeys) {
+    for (size_t size : kSizes) {
+      std::vector<vertex_id_t> keys(size);
+      for (vertex_id_t& k : keys) {
+        k = static_cast<vertex_id_t>(rng.NextUInt64(uint64_t{max_key} + 1));
+      }
+      if (!keys.empty()) {
+        keys[keys.size() / 2] = max_key;
+      }
+      std::vector<vertex_id_t> expected = keys;
+      std::sort(expected.begin(), expected.end());
+      RadixSort(keys, scratch, max_key);
+      EXPECT_EQ(keys, expected) << "size " << size << ", max key " << max_key;
+    }
+  }
+}
+
+TEST(RadixSortTest, AllEqualLogIsUnchanged) {
+  std::vector<vertex_id_t> scratch;
+  std::vector<vertex_id_t> keys(1000, 0x00abcdefu);
+  RadixSort(keys, scratch, kInvalidVertex - 1);
+  EXPECT_EQ(keys, std::vector<vertex_id_t>(1000, 0x00abcdefu));
+}
+
+TEST(RadixSortTest, ZeroMaxKeyNeedsNoPass) {
+  std::vector<vertex_id_t> scratch;
+  std::vector<vertex_id_t> keys(5, 0);
+  RadixSort(keys, scratch, vertex_id_t{0});
+  EXPECT_EQ(keys, std::vector<vertex_id_t>(5, 0));
+  EXPECT_TRUE(scratch.empty());
 }
 
 }  // namespace
