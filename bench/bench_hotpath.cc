@@ -18,11 +18,9 @@
 //   --workers N    workers per node ceiling  (default 4; the topology
 //                  schedule may clamp it to the CPU budget)
 //   --no-sort      disable the locality batch sort (ablation)
-//   --partition-mode MODE  locality grouping: "hier" (cache-geometry
-//                          hierarchy, default) or "legacy" (fixed-bucket sort)
-//   --group-size N within-bucket interleave ring group: 0 = derive from
-//                  cache geometry (default), 1 = ring off (one-ahead
-//                  prefetch), N >= 2 = fixed group size
+//   --vertices N   graph size (default 60000, 8000 with --small); the same
+//                  generator at larger N puts the graph past the LLC
+//   --walkers N    walkers per workload (default one per vertex)
 //   --schedule S   worker placement: "topology" (NUMA-aware planning +
 //                  binding, default) or "fixed" (honor --workers exactly)
 //   --metrics-out FILE  write a kk-metrics snapshot (engine ExportMetrics,
@@ -49,8 +47,8 @@ struct HotpathConfig {
   bool small = false;
   bool sort_batches = true;
   size_t workers_per_node = 4;
-  PartitionMode partition_mode = PartitionMode::kHierarchical;
-  size_t group_size = 0;  // 0 = geometry default, 1 = ring off
+  vertex_id_t vertices = 0;  // 0 = size default
+  walker_id_t walkers = 0;   // 0 = one per vertex
   WorkerSchedule schedule = WorkerSchedule::kTopology;
   std::string out_path = "BENCH_hotpath.json";
   std::string floor_path;
@@ -71,14 +69,8 @@ struct WorkloadResult {
   uint64_t cross_node_messages = 0;
   uint64_t cross_node_bytes = 0;
   CheckpointStats ckpt;
-  // Locality configuration/counters (counters are zero under -DKK_OBS=OFF).
-  uint32_t partition_buckets = 0;
-  uint32_t partition_super_buckets = 0;
-  uint64_t interleave_group = 0;
-  uint64_t partition_batches = 0;
-  uint64_t partition_walkers = 0;
-  uint64_t interleave_groups = 0;
   size_t effective_workers = 0;
+  uint64_t batch_sorts = 0;  // locality passes taken (zero under -DKK_OBS=OFF)
 };
 
 WalkEngineOptions HotpathOptions(const HotpathConfig& config) {
@@ -87,8 +79,6 @@ WalkEngineOptions HotpathOptions(const HotpathConfig& config) {
   opts.workers_per_node = config.workers_per_node;
   opts.parallel_nodes = true;
   opts.seed = kRunSeed;
-  opts.partition_mode = config.partition_mode;
-  opts.interleave_group_size = config.group_size;
   opts.worker_schedule = config.schedule;
   if (!config.sort_batches) {
     opts.sort_batches = BatchSortMode::kNever;
@@ -120,15 +110,9 @@ WorkloadResult RunWorkload(const std::string& name, const EdgeList<EmptyEdgeData
   result.cross_node_messages = engine.cross_node_messages();
   result.cross_node_bytes = engine.cross_node_bytes();
   result.ckpt = engine.checkpoint_stats();
-  result.partition_buckets = engine.partition_buckets();
-  result.partition_super_buckets = engine.partition_super_buckets();
-  result.interleave_group = engine.interleave_group();
   result.effective_workers = engine.effective_workers_per_node();
   for (node_rank_t n = 0; n < opts.num_nodes; ++n) {
-    const auto& acc = engine.node_observability(n);
-    result.partition_batches += acc.partition_batches;
-    result.partition_walkers += acc.partition_walkers;
-    result.interleave_groups += acc.interleave_groups;
+    result.batch_sorts += engine.node_observability(n).batch_sorts;
   }
   if (metrics != nullptr) {
     engine.ExportMetrics(*metrics, {{"workload", name}});
@@ -161,10 +145,6 @@ void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& r
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"small\": %s,\n", config.small ? "true" : "false");
   std::fprintf(f, "    \"sort_batches\": %s,\n", config.sort_batches ? "true" : "false");
-  std::fprintf(f, "    \"partition_mode\": \"%s\",\n",
-               config.partition_mode == PartitionMode::kHierarchical ? "hierarchical"
-                                                                     : "legacy");
-  std::fprintf(f, "    \"interleave_group_size\": %zu,\n", config.group_size);
   std::fprintf(f, "    \"worker_schedule\": \"%s\",\n",
                config.schedule == WorkerSchedule::kTopology ? "topology" : "fixed");
   std::fprintf(f, "    \"num_nodes\": 4,\n");
@@ -204,17 +184,9 @@ void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& r
                  static_cast<unsigned long long>(r.ckpt.checkpoint_bytes));
     std::fprintf(f, "      \"checkpoint_micros\": %llu,\n",
                  static_cast<unsigned long long>(r.ckpt.checkpoint_micros));
-    std::fprintf(f, "      \"partition_buckets\": %u,\n", r.partition_buckets);
-    std::fprintf(f, "      \"partition_super_buckets\": %u,\n", r.partition_super_buckets);
-    std::fprintf(f, "      \"interleave_group\": %llu,\n",
-                 static_cast<unsigned long long>(r.interleave_group));
     std::fprintf(f, "      \"effective_workers\": %zu,\n", r.effective_workers);
-    std::fprintf(f, "      \"partition_batches\": %llu,\n",
-                 static_cast<unsigned long long>(r.partition_batches));
-    std::fprintf(f, "      \"partition_walkers\": %llu,\n",
-                 static_cast<unsigned long long>(r.partition_walkers));
-    std::fprintf(f, "      \"interleave_groups\": %llu\n",
-                 static_cast<unsigned long long>(r.interleave_groups));
+    std::fprintf(f, "      \"batch_sorts\": %llu\n",
+                 static_cast<unsigned long long>(r.batch_sorts));
     std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
@@ -280,18 +252,10 @@ int Main(int argc, char** argv) {
       config.floor_path = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       config.workers_per_node = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--partition-mode") == 0 && i + 1 < argc) {
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "hier") == 0) {
-        config.partition_mode = PartitionMode::kHierarchical;
-      } else if (std::strcmp(mode, "legacy") == 0) {
-        config.partition_mode = PartitionMode::kLegacySort;
-      } else {
-        std::fprintf(stderr, "bench_hotpath: --partition-mode must be hier or legacy\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--group-size") == 0 && i + 1 < argc) {
-      config.group_size = static_cast<size_t>(std::atoi(argv[++i]));
+    } else if (std::strcmp(argv[i], "--vertices") == 0 && i + 1 < argc) {
+      config.vertices = static_cast<vertex_id_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--walkers") == 0 && i + 1 < argc) {
+      config.walkers = static_cast<walker_id_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--schedule") == 0 && i + 1 < argc) {
       const char* sched = argv[++i];
       if (std::strcmp(sched, "topology") == 0) {
@@ -313,8 +277,8 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_hotpath [--small] [--out FILE] [--floor FILE] "
-                   "[--workers N] [--no-sort] [--partition-mode hier|legacy] "
-                   "[--group-size N] [--schedule topology|fixed] "
+                   "[--workers N] [--no-sort] [--vertices N] [--walkers N] "
+                   "[--schedule topology|fixed] "
                    "[--metrics-out FILE] [--trace FILE] "
                    "[--checkpoint-every N] [--checkpoint-path FILE]\n");
       return 2;
@@ -324,13 +288,17 @@ int Main(int argc, char** argv) {
     config.checkpoint_path = config.out_path + ".ckpt";
   }
 
-  const vertex_id_t num_vertices = config.small ? 8000 : 60000;
+  const vertex_id_t num_vertices =
+      config.vertices > 0 ? config.vertices : (config.small ? 8000 : 60000);
+  const walker_id_t num_walkers = config.walkers > 0 ? config.walkers : num_vertices;
   auto edges = GenerateTruncatedPowerLaw(num_vertices, 2.0, 4, 100, kGraphSeed);
   auto num_edges = static_cast<edge_index_t>(edges.edges.size());
 
-  std::printf("hotpath baseline: %llu vertices, %llu directed edges, %zu workers/node%s\n",
+  std::printf("hotpath baseline: %llu vertices, %llu directed edges, %llu walkers, "
+              "%zu workers/node%s\n",
               static_cast<unsigned long long>(num_vertices),
-              static_cast<unsigned long long>(num_edges), config.workers_per_node,
+              static_cast<unsigned long long>(num_edges),
+              static_cast<unsigned long long>(num_walkers), config.workers_per_node,
               config.small ? " [small]" : "");
   PrintRule();
 
@@ -344,12 +312,12 @@ int Main(int argc, char** argv) {
   results.push_back(RunWorkload(
       "node2vec", edges, config,
       [&n2v](const auto& g) { return Node2VecTransition(g, n2v); },
-      Node2VecWalkers(num_vertices, n2v), metrics_ptr, trace_ptr));
+      Node2VecWalkers(num_walkers, n2v), metrics_ptr, trace_ptr));
 
   PprParams ppr;
   results.push_back(RunWorkload(
       "ppr", edges, config, [](const auto&) { return PprTransition<EmptyEdgeData>(); },
-      PprWalkers(num_vertices, ppr), metrics_ptr, trace_ptr));
+      PprWalkers(num_walkers, ppr), metrics_ptr, trace_ptr));
 
   std::printf("%10s %10s %14s %14s %12s %14s\n", "workload", "time(s)", "walks/sec",
               "steps/sec", "edges/step", "xnode bytes");

@@ -34,8 +34,8 @@ struct Node2VecParams {
   step_t walk_length = 80;
   bool use_lower_bound = true;   // Table 5's "L" optimization
   bool use_outlier = true;       // Table 5's "O" optimization
-  // Answer adjacency queries from a hashed NeighborIndex (O(1) + prefetch
-  // hint) instead of binary-searching the CSR row. Same answers either way;
+  // Answer adjacency queries from a hashed NeighborIndex (O(1)) instead of
+  // binary-searching the CSR row. Same answers either way;
   // costs ~16 bytes/edge, built once when the spec is created.
   bool use_neighbor_index = true;
 };
@@ -96,8 +96,6 @@ TransitionSpec<EdgeData> Node2VecTransition(const Csr<EdgeData>& graph,
                                  vertex_id_t subject) {
       return static_cast<uint8_t>(index->Contains(target, subject) ? 1 : 0);
     };
-    spec.prefetch_query = [index](const Csr<EdgeData>&, vertex_id_t target,
-                                  vertex_id_t subject) { index->Prefetch(target, subject); };
   } else {
     spec.respond_query = [](const Csr<EdgeData>& g, vertex_id_t target, vertex_id_t subject) {
       return static_cast<uint8_t>(g.HasNeighbor(target, subject) ? 1 : 0);

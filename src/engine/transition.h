@@ -75,14 +75,6 @@ struct TransitionSpec {
                               vertex_id_t subject)>
       respond_query;
 
-  // Optional cache hint paired with respond_query: the respond phase's
-  // interleave ring calls it one walker group ahead of the answering group,
-  // so whatever rows respond_query will touch are in flight before it runs.
-  // nullptr => the engine prefetches target's adjacency row. Must not mutate
-  // anything.
-  std::function<void(const Csr<EdgeData>& graph, vertex_id_t target, vertex_id_t subject)>
-      prefetch_query;
-
   // --- Walker state maintenance -----------------------------------------
   // Invoked after every traversal (walker already moved across `edge` from
   // `from`), before termination is evaluated. Use it to update custom

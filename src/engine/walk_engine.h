@@ -99,20 +99,6 @@ enum class BatchSortMode {
   kNever = 2,   // arrival order (pre-overhaul behaviour)
 };
 
-// How the locality pass groups a batch (FlexiWalker-style runtime knob: both
-// strategies stay selectable for A/B and ablation; walk output is
-// byte-identical either way).
-enum class PartitionMode {
-  // Multi-level partitioner: leaf bucket count derived from the graph's
-  // per-vertex footprint and the machine's cache geometry (L1d-sized leaves
-  // nested in L2-sized super-buckets), with all per-walker hot state
-  // scattered into struct-of-arrays bucket storage.
-  kHierarchical = 0,
-  // PR 3 behaviour: single-level counting sort into kLegacySortBuckets
-  // fixed vertex-range buckets, array-of-structs storage.
-  kLegacySort = 1,
-};
-
 // How worker pools are sized and placed.
 enum class WorkerSchedule {
   // Honor workers_per_node / parallel_nodes exactly and leave threads
@@ -121,7 +107,7 @@ enum class WorkerSchedule {
   // Plan pools from the machine's CPU/NUMA topology (src/util/numa.h):
   // clamp worker counts to the CPU budget, give each logical node a
   // NUMA-compact CPU slice, and bind its driver + pool workers to it so
-  // first-touch allocation lands the node's bucket arenas on its own memory
+  // first-touch allocation lands the node's batch buffers on its own memory
   // node. Falls back gracefully on single-CPU or non-NUMA machines.
   kTopology = 1,
 };
@@ -164,31 +150,12 @@ struct WalkEngineOptions {
   // messages, bounded re-issue of unanswered state queries, and receiver
   // dedup. Null disables both (zero overhead).
   FaultInjector* fault_injector = nullptr;
-  // Supersteps a walker message may stay unacknowledged — or a state query
-  // unanswered — before it is re-sent. A fault-free round trip completes
-  // within one superstep; 2 tolerates one delay fault on a walker message or
-  // its ack without spurious retransmission. A state query's answer counts
-  // only in the superstep the query was issued for, so one delayed query or
-  // response always costs a re-issue.
-  uint32_t retry_timeout = 2;
-  // Bounded retries per message/query; exceeding this aborts the run (the
-  // simulated network is considered failed, not slow).
-  uint32_t max_retries = 64;
   // Locality pass over each node's active batch in full (non-light) mode;
   // see BatchSortMode. kAuto pays the grouping pass only when the batch's
   // estimated touched bytes (walker state + distinct vertex rows) no longer
-  // fit the cache share — see ShouldSortBatch.
+  // fit the cache share, and never below kMinSortBatch walkers — see
+  // ShouldSortBatch.
   BatchSortMode sort_batches = BatchSortMode::kAuto;
-  // Floor on batch *size* for kAuto: batches below it never group, whatever
-  // the byte estimate says (the pass itself would dominate).
-  size_t sort_batches_threshold = kMinPartitionBatch;
-  // Grouping strategy for the locality pass (see PartitionMode).
-  PartitionMode partition_mode = PartitionMode::kHierarchical;
-  // Step-interleaving ring (ThunderRW §4): walkers advance in groups of this
-  // size, issuing group k's gather prefetches while group k-1 computes.
-  // 0 derives the group size from cache geometry (kDefaultInterleaveGroup);
-  // 1 disables the ring (legacy one-walker-ahead prefetch); >= 2 fixes it.
-  size_t interleave_group_size = 0;
   // Worker-pool sizing/placement policy (see WorkerSchedule).
   WorkerSchedule worker_schedule = WorkerSchedule::kFixed;
   // Trace recording (runtime toggle; see src/obs/trace.h). When non-null the
@@ -256,6 +223,18 @@ struct EnginePhaseTimes {
 // Iterations without any walker progress before the engine declares the walk
 // wedged (see Run()).
 inline constexpr uint64_t kMaxStalledIterations = 100000;
+
+// Supersteps a walker message may stay unacknowledged — or a state query
+// unanswered — before it is re-sent. A fault-free round trip completes
+// within one superstep; 2 tolerates one delay fault on a walker message or
+// its ack without spurious retransmission. A state query's answer counts
+// only in the superstep the query was issued for, so one delayed query or
+// response always costs a re-issue.
+inline constexpr uint32_t kRetryTimeout = 2;
+
+// Bounded retries per message/query; exceeding this aborts the run (the
+// simulated network is considered failed, not slow).
+inline constexpr uint32_t kMaxRetries = 64;
 
 // Checkpoint/recovery counters of the last Run. `checkpoint_micros` is
 // wall-clock and therefore not comparable across runs; the other three are
@@ -348,12 +327,6 @@ class WalkEngine {
   size_t effective_workers_per_node() const { return effective_workers_; }
   bool effective_parallel_nodes() const { return effective_parallel_nodes_; }
 
-  // Resolved locality configuration of the last (or current) Run.
-  uint32_t partition_buckets() const { return plan_.num_buckets; }
-  uint32_t partition_super_buckets() const { return plan_.num_super; }
-  size_t interleave_group() const { return interleave_group_; }
-  const CacheGeometry& cache_geometry() const { return cache_geo_; }
-
   // Reseeds subsequent Runs (multi-round deployments: §1's "repeated for
   // multiple rounds" run R rounds with distinct seeds over one engine).
   void set_seed(uint64_t seed) { options_.seed = seed; }
@@ -421,9 +394,6 @@ class WalkEngine {
       merge_micros_ = 0;
       folded_ = MutationCounters{};
     }
-    interleave_group_ = options_.interleave_group_size == 0
-                            ? kDefaultInterleaveGroup
-                            : options_.interleave_group_size;
 
     phase_times_ = EnginePhaseTimes{};
     ckpt_stats_ = CheckpointStats{};
@@ -602,13 +572,13 @@ class WalkEngine {
   // kAuto locality estimate: bytes a batch of this size will touch — its own
   // walker state, one static row per distinct landing vertex, and (under
   // mutation) the overlay adjacency + weight-class rows of whatever dirty
-  // vertices it can hit. ShouldSortBatch compares this against the bucket
-  // cache share; public so tests can pin the estimate's mutation term.
+  // vertices it can hit. ShouldSortBatch compares this against the L2
+  // share; public so tests can pin the estimate's mutation term.
   uint64_t EstimatedBatchTouchedBytes(size_t batch_size) const {
     const uint64_t walker_bytes = batch_size * sizeof(WalkerT);
     const uint64_t rows = std::min<uint64_t>(batch_size, graph_.num_vertices());
-    uint64_t touched = walker_bytes + rows * plan_.bytes_per_vertex;
-    // Delta-overlay rows are hot state the static plan knows nothing about:
+    uint64_t touched = walker_bytes + rows * bytes_per_vertex_;
+    // Delta-overlay rows are hot state the static footprint knows nothing about:
     // without this term the estimate goes stale as mutations accumulate and
     // kAuto under-sorts exactly when locality matters most. The weight-class
     // row size is the one sampled at the last superstep barrier.
@@ -857,15 +827,6 @@ class WalkEngine {
     out.SetGauge("engine.phase_seconds", with({{"phase", "respond"}}), phase_times_.respond);
     out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
     out.SetGauge("engine.phase_seconds", with({{"phase", "exchange"}}), phase_times_.exchange);
-    // Locality configuration as resolved for the last Run: chosen bucket
-    // hierarchy and ring group size. Pure functions of (graph, options,
-    // machine geometry), so stable within a host.
-    out.SetGauge("engine.partition_buckets", with({}), plan_.num_buckets,
-                 /*stable=*/true);
-    out.SetGauge("engine.partition_super_buckets", with({}), plan_.num_super,
-                 /*stable=*/true);
-    out.SetGauge("engine.interleave_group_size", with({}),
-                 static_cast<double>(interleave_group_), /*stable=*/true);
     if (obs::kObsEnabled) {
       // Scratch-pool reuse depends on worker-pool scheduling, so it is only
       // a stable (run-to-run comparable) metric when chunks run inline.
@@ -891,13 +852,6 @@ class WalkEngine {
         out.AddCounter("engine.scratch_pool.misses", with(node_label), acc.scratch_misses,
                        scratch_stable);
         out.AddCounter("engine.batch_sorts", with(node_label), acc.batch_sorts);
-        // Deterministic for a given configuration: the partition decision is
-        // driver-side, and ring-group counts follow chunk boundaries, which
-        // are a pure function of (batch sizes, chunk_size, worker count) —
-        // not of runtime scheduling.
-        out.AddCounter("engine.partition_batches", with(node_label), acc.partition_batches);
-        out.AddCounter("engine.partition_walkers", with(node_label), acc.partition_walkers);
-        out.AddCounter("engine.interleave_groups", with(node_label), acc.interleave_groups);
       }
     }
     auto export_mailbox = [&](const char* name, const auto& mail) {
@@ -989,7 +943,7 @@ class WalkEngine {
   };
 
   // A walker message awaiting acknowledgement; the stored copy is
-  // retransmitted verbatim after retry_timeout supersteps.
+  // retransmitted verbatim after kRetryTimeout supersteps.
   struct InFlightMove {
     WalkerT walker;
     node_rank_t dst = 0;
@@ -1012,7 +966,6 @@ class WalkEngine {
     std::vector<InFlightMove> tracked;  // copies awaiting acknowledgement
     std::vector<PathEntry> paths;
     SamplingStats stats;
-    uint64_t interleave_groups = 0;  // ring groups this chunk ran (obs)
 
     // Empties every buffer while retaining capacity. Batch Post moves the
     // *elements* out of the per-destination vectors but leaves the vectors'
@@ -1035,7 +988,6 @@ class WalkEngine {
       tracked.clear();
       paths.clear();
       stats = SamplingStats{};
-      interleave_groups = 0;
     }
   };
 
@@ -1068,14 +1020,9 @@ class WalkEngine {
     // reused across iterations.
     std::vector<std::vector<QueryMsg>> requery_out;
     // Reused counting-sort buffers for the locality pass (driver-only per
-    // node; see SortBatchByLocality / ScatterBatch).
+    // node; see SortBatchByLocality).
     std::vector<WalkerT> sort_tmp_walkers;
     std::vector<uint32_t> sort_bucket_counts;
-    // Struct-of-arrays bucket storage for the hierarchical partitioner
-    // (node-exclusive, like `active`). Cleared-not-shrunk per iteration;
-    // first touch happens on the node's phase-driver thread, so under the
-    // topology schedule the arena lives on the node's own NUMA domain.
-    WalkerSoa<WalkerState> part;
   };
 
   // Pops a cleared scratch from the node's freelist (or makes the pool's
@@ -1375,61 +1322,12 @@ class WalkEngine {
         });
       }
     }
-    BuildPartitionPlan();
-  }
-
-  // Sizes the walker partition hierarchy from the graph's actual per-vertex
-  // footprint and the detected cache geometry: leaf buckets hold a ~half-L2
-  // slice of hot vertex state, nested inside LLC-sized super-buckets (leaf
-  // count rounded up to a multiple of the super count so leaves never
-  // straddle a super boundary). Boundaries are degree-aware — cut at equal
-  // footprint, not equal vertex count — so one hub-heavy bucket cannot blow
-  // its cache budget. The vertex -> leaf lookup table is rebuilt with the
-  // static state; hierarchical ordering also visits vertices in super-bucket
-  // order implicitly because leaf ids are monotone in vertex id.
-  void BuildPartitionPlan() {
+    // Average hot-state bytes per vertex row: adjacency, sampler tables and
+    // the envelope scalars (the kAuto locality estimate's row size).
     const vertex_id_t num_v = graph_.num_vertices();
-    const uint64_t adj_bytes = graph_.num_edges() * sizeof(AdjT);
-    const uint64_t env_bytes = (upper_.size() + lower_.size()) * sizeof(real_t);
-    plan_.footprint_bytes = adj_bytes + sampler_.MemoryBytes() + env_bytes;
-    plan_.bytes_per_vertex =
-        num_v > 0 ? std::max<uint64_t>(1, plan_.footprint_bytes / num_v) : 1;
-    if (options_.partition_mode != PartitionMode::kHierarchical || num_v == 0) {
-      plan_.num_buckets = 1;
-      plan_.num_super = 1;
-      plan_.vertex_bucket.clear();
-      return;
-    }
-    uint32_t buckets = PartitionBucketCount(plan_.footprint_bytes, cache_geo_);
-    const uint32_t super = PartitionSuperCount(plan_.footprint_bytes, cache_geo_);
-    buckets = std::max(buckets, super);
-    buckets = (buckets + super - 1) / super * super;
-    buckets = std::min(buckets, kMaxPartitionBuckets);
-    plan_.num_buckets = buckets;
-    plan_.num_super = super;
-    // Per-vertex footprint: adjacency + the sampler's per-edge share, plus
-    // the envelope scalars. Integer math in 1/256ths of a byte per edge
-    // keeps the cuts deterministic across platforms.
-    const uint64_t edges = std::max<uint64_t>(1, graph_.num_edges());
-    const uint64_t per_edge_256 =
-        ((adj_bytes + sampler_.MemoryBytes()) * 256) / edges;
-    const uint64_t per_vertex_256 = (env_bytes * 256) / num_v;
-    uint64_t total_256 = 0;
-    for (vertex_id_t v = 0; v < num_v; ++v) {
-      total_256 += graph_.OutDegree(v) * per_edge_256 + per_vertex_256;
-    }
-    const uint64_t target_256 = std::max<uint64_t>(1, total_256 / buckets);
-    plan_.vertex_bucket.assign(num_v, 0);
-    uint64_t acc = 0;
-    uint32_t bucket = 0;
-    for (vertex_id_t v = 0; v < num_v; ++v) {
-      if (acc >= target_256 && bucket + 1 < buckets) {
-        acc -= target_256;
-        ++bucket;
-      }
-      plan_.vertex_bucket[v] = bucket;
-      acc += graph_.OutDegree(v) * per_edge_256 + per_vertex_256;
-    }
+    const uint64_t footprint = graph_.num_edges() * sizeof(AdjT) + sampler_.MemoryBytes() +
+                               (upper_.size() + lower_.size()) * sizeof(real_t);
+    bytes_per_vertex_ = num_v > 0 ? std::max<uint64_t>(1, footprint / num_v) : 1;
   }
 
   void DeployWalkers() {
@@ -1514,10 +1412,10 @@ class WalkEngine {
   // hits instead of random misses. kAuto estimates the bytes the batch will
   // actually touch — its own walker state plus one vertex row per distinct
   // landing vertex — and pays the O(n) grouping pass only once that working
-  // set overflows the cache share a bucket targets; below that everything
-  // stays resident regardless of order. The estimate uses the partition
-  // plan's measured bytes-per-vertex, so heavier per-walker app state and
-  // denser graphs both lower the trip point.
+  // set overflows the L2 share; below that everything stays resident
+  // regardless of order. The estimate uses the graph's measured
+  // bytes-per-vertex, so heavier per-walker app state and denser graphs both
+  // lower the trip point.
   bool ShouldSortBatch(size_t batch_size) const {
     switch (options_.sort_batches) {
       case BatchSortMode::kNever:
@@ -1530,30 +1428,30 @@ class WalkEngine {
     if (options_.enable_light_mode && batch_size < options_.light_mode_threshold) {
       return false;  // light mode: the node runs inline on a small tail
     }
-    if (batch_size < options_.sort_batches_threshold) {
+    if (batch_size < kMinSortBatch) {
       return false;
     }
     return EstimatedBatchTouchedBytes(batch_size) >
            cache_geo_.l2_bytes / kBucketCacheShareDiv;
   }
 
-  // Legacy locality pass (PartitionMode::kLegacySort): groups `batch` by
-  // cur's vertex-range bucket with a stable counting sort into a per-node
-  // reused buffer (steady state allocates nothing). The pass is a pure
-  // function of message content plus input order; deterministic mode feeds
-  // it an id-canonical batch, so the grouped order is canonical too. Never
-  // observable in walk output — each walker's RNG stream is its own.
+  // The locality pass: groups `batch` by cur's vertex range (kSortBuckets
+  // fixed ranges) with a stable counting sort into a per-node reused buffer
+  // (steady state allocates nothing). The pass is a pure function of message
+  // content plus input order; deterministic mode feeds it an id-canonical
+  // batch, so the grouped order is canonical too. Never observable in walk
+  // output — each walker's RNG stream is its own.
   void SortBatchByLocality(NodeState& node, std::vector<WalkerT>& batch) {
     uint64_t num_v = graph_.num_vertices();
     auto bucket_of = [num_v](const WalkerT& w) {
-      return static_cast<size_t>(static_cast<uint64_t>(w.cur) * kLegacySortBuckets / num_v);
+      return static_cast<size_t>(static_cast<uint64_t>(w.cur) * kSortBuckets / num_v);
     };
     std::vector<uint32_t>& counts = node.sort_bucket_counts;
-    counts.assign(kLegacySortBuckets + 1, 0);
+    counts.assign(kSortBuckets + 1, 0);
     for (const WalkerT& w : batch) {
       counts[bucket_of(w) + 1] += 1;
     }
-    for (size_t b = 0; b < kLegacySortBuckets; ++b) {
+    for (size_t b = 0; b < kSortBuckets; ++b) {
       counts[b + 1] += counts[b];
     }
     std::vector<WalkerT>& tmp = node.sort_tmp_walkers;
@@ -1564,78 +1462,22 @@ class WalkEngine {
     batch.swap(tmp);
   }
 
-  // Hierarchical locality pass: scatters `batch` into the node's
-  // struct-of-arrays arena in leaf-bucket order (stable counting scatter, so
-  // deterministic mode's id-canonical input stays canonical within each
-  // bucket). After the scatter every hot stream the step kernel reads —
-  // cur, step, RNG block, app state — is a dense sequential array, and
-  // consecutive walkers' graph/sampler rows fall inside one L2-sized vertex
-  // range. Same observational-safety argument as the legacy sort.
-  void ScatterBatch(NodeState& node, std::vector<WalkerT>& batch) {
-    const std::vector<uint32_t>& vb = plan_.vertex_bucket;
-    std::vector<uint32_t>& counts = node.sort_bucket_counts;
-    counts.assign(plan_.num_buckets + 1, 0);
-    for (const WalkerT& w : batch) {
-      counts[vb[w.cur] + 1] += 1;
-    }
-    for (size_t b = 0; b < plan_.num_buckets; ++b) {
-      counts[b + 1] += counts[b];
-    }
-    WalkerSoa<WalkerState>& soa = node.part;
-    soa.Resize(batch.size());
-    for (const WalkerT& w : batch) {
-      soa.Set(counts[vb[w.cur]]++, w);
-    }
-    batch.clear();
-  }
-
-  // ThunderRW-style step-interleaving ring: runs body(i) over [begin, end)
-  // in groups of `group`, issuing prefetch(j) for all of group k while group
-  // k-1 computes — the gather stage's cache misses overlap the previous
-  // group's sample/advance work instead of serializing with it. Returns the
-  // number of groups run (observability). group <= 1 degrades to the legacy
-  // one-ahead prefetch and reports zero groups.
-  template <typename PrefetchFn, typename BodyFn>
-  static uint64_t InterleavedRun(size_t begin, size_t end, size_t group,
-                                 const PrefetchFn& prefetch, const BodyFn& body) {
-    if (group <= 1) {
-      for (size_t i = begin; i < end; ++i) {
-        if (i + 1 < end) {
-          prefetch(i + 1);
+  // Runs body(i) over [begin, end), pulling walker i+1's graph/sampler rows
+  // toward the cache while walker i computes (batches are cur-grouped, so
+  // the hint is almost always useful). Dirty overlay rows get no hint: they
+  // are small and recently written, so already hot.
+  template <typename CurFn, typename BodyFn>
+  void PrefetchedRun(size_t begin, size_t end, const CurFn& cur_of, const BodyFn& body) const {
+    for (size_t i = begin; i < end; ++i) {
+      if (i + 1 < end) {
+        const vertex_id_t next = cur_of(i + 1);
+        if (!DirtyRow(next)) {
+          graph_.PrefetchNeighbors(next);
+          sampler_.Prefetch(next);
         }
-        body(i);
       }
-      return 0;
+      body(i);
     }
-    uint64_t groups = 0;
-    size_t prefetched = std::min(begin + group, end);
-    for (size_t i = begin; i < prefetched; ++i) {
-      prefetch(i);
-    }
-    for (size_t g = begin; g < end; g += group) {
-      const size_t g_end = std::min(g + group, end);
-      const size_t next_end = std::min(g_end + group, end);
-      for (size_t i = prefetched; i < next_end; ++i) {
-        prefetch(i);
-      }
-      prefetched = next_end;
-      for (size_t i = g; i < g_end; ++i) {
-        body(i);
-      }
-      ++groups;
-    }
-    return groups;
-  }
-
-  // Pulls the next walker's graph/sampler rows toward the cache while the
-  // current walker computes (batches are cur-sorted, so the hint is almost
-  // always useful).
-  void PrefetchWalkerRows(vertex_id_t cur) const {
-    if (DirtyRow(cur)) {
-      return;  // overlay rows are small and recently written — already hot
-    }
-    graph_.PrefetchNeighbors(cur);
-    sampler_.Prefetch(cur);
   }
 
   // One rejection-sampling trial for walker w at w.cur. Counts stats into
@@ -1867,7 +1709,7 @@ class WalkEngine {
 
   // Phase C under faults: moves unanswered trials to the front of `trials`
   // (index == new slot; order is unobservable) and ages them. One that is
-  // retry_timeout supersteps past its latest issue is re-issued under a fresh
+  // kRetryTimeout supersteps past its latest issue is re-issued under a fresh
   // epoch, so no answer to an older issue can match it. Returns how many wait.
   size_t RequeueUnanswered(NodeState& node, node_rank_t n, std::vector<PendingTrial>& trials,
                            SamplingStats& delta) {
@@ -1876,10 +1718,10 @@ class WalkEngine {
     const auto waiting = static_cast<size_t>(answered - trials.begin());
     for (uint32_t slot = 0; slot < waiting; ++slot) {
       PendingTrial& trial = trials[slot];
-      if (++trial.age < options_.retry_timeout) {
+      if (++trial.age < kRetryTimeout) {
         continue;
       }
-      KK_CHECK(trial.retries < options_.max_retries);
+      KK_CHECK(trial.retries < kMaxRetries);
       trial.retries += 1;
       trial.age = 0;
       trial.epoch = superstep_ + 1;  // the re-issue is exchanged next superstep
@@ -1904,7 +1746,6 @@ class WalkEngine {
       MutexLock lock(node.merge_mutex);
       node.stats.Merge(scratch.stats);
       node.obs.MergeStats(phase, scratch.stats);
-      node.obs.CountInterleave(scratch.interleave_groups);
       if (node.next_active.empty()) {
         // First merge of the iteration (always, in inline mode): adopt the
         // chunk's buffer wholesale instead of copying walkers one by one.
@@ -2126,67 +1967,33 @@ class WalkEngine {
     double span_start = trace != nullptr ? trace->Now() : 0.0;
 
     // Phase A: every active walker performs its sampling work. The locality
-    // pass groups the batch first (hierarchical SoA scatter or legacy AoS
-    // sort); the step kernel then runs the interleave ring, overlapping the
-    // next group's gather misses with the current group's compute. Both
-    // knobs are unobservable in walk output — each walker's RNG stream is
-    // its own.
+    // pass groups the batch by vertex first; the step loop then prefetches
+    // one walker ahead. Both are unobservable in walk output — each walker's
+    // RNG stream is its own.
     ForEachNode([&](node_rank_t n) {
       NodeState& node = *nodes_[n];
       double node_start = trace != nullptr ? trace->Now() : 0.0;
       std::vector<WalkerT> batch = std::move(node.active);
       node.active.clear();
-      bool partitioned = false;
       if (ShouldSortBatch(batch.size())) {
-        if (options_.partition_mode == PartitionMode::kHierarchical) {
-          ScatterBatch(node, batch);
-          partitioned = true;
-          MutexLock lock(node.merge_mutex);  // pre-dispatch, uncontended
-          node.obs.CountPartition(node.part.size());
-        } else {
-          SortBatchByLocality(node, batch);
-          MutexLock lock(node.merge_mutex);  // pre-dispatch, uncontended
-          node.obs.CountBatchSort();
-        }
+        SortBatchByLocality(node, batch);
+        MutexLock lock(node.merge_mutex);  // pre-dispatch, uncontended
+        node.obs.CountBatchSort();
       }
-      auto run_chunk = [&](size_t begin, size_t end, const auto& cur_of,
-                           const auto& step_one) {
+      ParallelOver(node, batch.size(), [&](size_t begin, size_t end) {
         std::unique_ptr<Scratch> scratch = AcquireScratch(node);
-        scratch->interleave_groups += InterleavedRun(
-            begin, end, interleave_group_,
-            [&](size_t i) { PrefetchWalkerRows(cur_of(i)); },
-            [&](size_t i) { step_one(i, *scratch); });
+        PrefetchedRun(
+            begin, end, [&](size_t i) { return batch[i].cur; },
+            [&](size_t i) {
+              if (second_order_) {
+                SecondOrderTrial(batch[i], n, *scratch);
+              } else {
+                LockstepWalk(batch[i], n, *scratch);
+              }
+            });
         MergeScratch(node, n, *scratch, obs::Phase::kSample);
         ReleaseScratch(node, std::move(scratch));
-      };
-      if (partitioned) {
-        const WalkerSoa<WalkerState>& soa = node.part;
-        ParallelOver(node, soa.size(), [&](size_t begin, size_t end) {
-          run_chunk(
-              begin, end, [&](size_t i) { return soa.cur[i]; },
-              [&](size_t i, Scratch& scratch) {
-                WalkerT w = soa.Get(i);
-                if (second_order_) {
-                  SecondOrderTrial(w, n, scratch);
-                } else {
-                  LockstepWalk(w, n, scratch);
-                }
-              });
-        });
-        node.part.Clear();
-      } else {
-        ParallelOver(node, batch.size(), [&](size_t begin, size_t end) {
-          run_chunk(
-              begin, end, [&](size_t i) { return batch[i].cur; },
-              [&](size_t i, Scratch& scratch) {
-                if (second_order_) {
-                  SecondOrderTrial(batch[i], n, scratch);
-                } else {
-                  LockstepWalk(batch[i], n, scratch);
-                }
-              });
-        });
-      }
+      });
       if (trace != nullptr) {
         trace->RecordSpan("sample", n + 1u, 0, node_start, trace->Now() - node_start, superstep_);
       }
@@ -2214,37 +2021,11 @@ class WalkEngine {
         }
         ParallelOver(node, inbox.size(), [&](size_t begin, size_t end) {
           std::unique_ptr<Scratch> scratch = AcquireScratch(node);
-          auto answer = [&](size_t i) {
+          for (size_t i = begin; i < end; ++i) {
             const QueryMsg& q = inbox[i];
             KK_DCHECK(partition_.Owns(n, q.target));
             QueryResponse payload = transition_->respond_query(graph_, q.target, q.subject);
             scratch->responses[q.origin].push_back({q.walker, q.epoch, q.slot, payload});
-          };
-          if (interleave_group_ > 1) {
-            // The respond phase is a pure gather over whatever rows the
-            // transition's answer touches; the ring hides their misses
-            // behind the previous group's answers. prefetch_query lets the
-            // app target its own lookup structure (node2vec's hash index);
-            // the default pulls the queried vertex's adjacency row.
-            const uint64_t groups = InterleavedRun(
-                begin, end, interleave_group_,
-                [&](size_t i) {
-                  const QueryMsg& q = inbox[i];
-                  if (transition_->prefetch_query) {
-                    transition_->prefetch_query(graph_, q.target, q.subject);
-                  } else {
-                    graph_.PrefetchNeighbors(q.target);
-                  }
-                },
-                answer);
-            if (obs::kObsEnabled && groups > 0) {
-              MutexLock lock(node.merge_mutex);
-              node.obs.CountInterleave(groups);
-            }
-          } else {
-            for (size_t i = begin; i < end; ++i) {
-              answer(i);
-            }
           }
           for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
             response_mail_->Post(n, dst, std::move(scratch->responses[dst]));
@@ -2318,9 +2099,8 @@ class WalkEngine {
         // heavy enough that another counting pass costs more than it saves.
         ParallelOver(node, trials.size() - waiting, [&](size_t begin, size_t end) {
           std::unique_ptr<Scratch> scratch = AcquireScratch(node);
-          scratch->interleave_groups += InterleavedRun(
-              waiting + begin, waiting + end, interleave_group_,
-              [&](size_t i) { PrefetchWalkerRows(trials[i].walker.cur); },
+          PrefetchedRun(
+              waiting + begin, waiting + end, [&](size_t i) { return trials[i].walker.cur; },
               [&](size_t i) {
                 PendingTrial& trial = trials[i];
                 WalkerT& w = trial.walker;
@@ -2435,8 +2215,8 @@ class WalkEngine {
         // by (walker, step), so posting order cannot change observable state.
         // kk-lint: nondeterministic-order-ok
         for (auto& [id, fl] : node.in_flight) {
-          if (++fl.age >= options_.retry_timeout) {
-            KK_CHECK(fl.retries < options_.max_retries);
+          if (++fl.age >= kRetryTimeout) {
+            KK_CHECK(fl.retries < kMaxRetries);
             fl.retries += 1;
             fl.age = 0;
             ack_delta.walker_retransmits += 1;
@@ -2457,25 +2237,15 @@ class WalkEngine {
     }
   }
 
-  // Resolved walker partition hierarchy (BuildPartitionPlan). Rebuilt with
-  // the static state; scalar fields stay valid for metrics between Runs.
-  struct PartitionPlan {
-    std::vector<uint32_t> vertex_bucket;  // vertex -> leaf bucket id
-    uint32_t num_buckets = 1;
-    uint32_t num_super = 1;
-    uint64_t footprint_bytes = 0;   // total per-vertex hot-state bytes
-    uint64_t bytes_per_vertex = 1;  // average row footprint (kAuto heuristic)
-  };
-
   Csr<EdgeData> graph_;
   WalkEngineOptions options_;
   Partition partition_;
-  // Cache geometry detected once per engine; the partition plan and the
-  // kAuto grouping heuristic both derive from it.
+  // Cache geometry detected once per engine; the kAuto grouping heuristic
+  // derives from it.
   CacheGeometry cache_geo_ = CacheGeometry::Detect();
-  PartitionPlan plan_;
-  // Ring group size resolved at Run start (0-option -> geometry default).
-  size_t interleave_group_ = 1;
+  // Average static row footprint, rebuilt with the static state (kAuto
+  // heuristic; see EstimatedBatchTouchedBytes).
+  uint64_t bytes_per_vertex_ = 1;
   // Worker configuration after WorkerSchedule planning.
   size_t effective_workers_ = 0;
   bool effective_parallel_nodes_ = false;

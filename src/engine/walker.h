@@ -9,9 +9,6 @@
 #ifndef SRC_ENGINE_WALKER_H_
 #define SRC_ENGINE_WALKER_H_
 
-#include <cstddef>
-#include <vector>
-
 #include "src/util/rng.h"
 #include "src/util/types.h"
 
@@ -30,66 +27,6 @@ struct Walker {
   step_t step = 0;                    // edges traversed so far
   [[no_unique_address]] StateT state{};
   Rng rng;  // travels with the walker: placement-independent determinism
-};
-
-// Struct-of-arrays walker storage for the hierarchical locality partitioner
-// (docs/PERFORMANCE.md §4). When a batch is scattered into cache-sized
-// vertex-range buckets, every hot field — vertex, step, RNG block, app
-// state — becomes its own sequential stream, so the step kernel reads
-// nothing but dense arrays plus the (bucket-local) graph rows.
-//
-// Arena discipline: the owning node reuses one WalkerSoa across iterations
-// (Clear keeps capacity), and under NUMA-aware scheduling the first touch
-// happens on the node's bound driver thread, placing the arena on that
-// worker's memory node.
-template <typename StateT = EmptyWalkerState>
-struct WalkerSoa {
-  std::vector<walker_id_t> id;
-  std::vector<vertex_id_t> cur;
-  std::vector<vertex_id_t> prev;
-  std::vector<step_t> step;
-  std::vector<StateT> state;
-  std::vector<Rng> rng;
-
-  size_t size() const { return cur.size(); }
-
-  void Resize(size_t n) {
-    id.resize(n);
-    cur.resize(n);
-    prev.resize(n);
-    step.resize(n);
-    state.resize(n);
-    rng.resize(n);
-  }
-
-  void Clear() {
-    id.clear();
-    cur.clear();
-    prev.clear();
-    step.clear();
-    state.clear();
-    rng.clear();
-  }
-
-  void Set(size_t i, const Walker<StateT>& w) {
-    id[i] = w.id;
-    cur[i] = w.cur;
-    prev[i] = w.prev;
-    step[i] = w.step;
-    state[i] = w.state;
-    rng[i] = w.rng;
-  }
-
-  Walker<StateT> Get(size_t i) const {
-    Walker<StateT> w;
-    w.id = id[i];
-    w.cur = cur[i];
-    w.prev = prev[i];
-    w.step = step[i];
-    w.state = state[i];
-    w.rng = rng[i];
-    return w;
-  }
 };
 
 }  // namespace knightking

@@ -4,15 +4,14 @@
 // (node2vec's distance test, §2.2); the CSR binary search pays O(log d) cache
 // misses per query and dominated the respond phase in profiles. This index
 // trades one flat open-addressing table — ~16 bytes per edge — for a one- or
-// two-probe lookup, and exposes a Prefetch so the engine's interleave ring
-// can hide even that probe's latency.
+// two-probe lookup.
 //
 // Layout: power-of-two slot array of 64-bit keys, key = (src << 32) | dst,
 // stored as key + 1 so 0 means empty (the all-ones key is kInvalidVertex
 // twice and never inserted). Linear probing at load factor <= 0.5 keeps
 // probe chains short and sequential. A per-vertex-region layout (half the
-// memory) was tried and lost: its Prefetch needs a dependent offsets load
-// the interleave ring cannot hide, and the respond phase slowed measurably.
+// memory) was tried and lost: every lookup pays a dependent offsets load
+// first, and the respond phase slowed measurably.
 #ifndef SRC_GRAPH_NEIGHBOR_INDEX_H_
 #define SRC_GRAPH_NEIGHBOR_INDEX_H_
 
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "src/graph/csr.h"
-#include "src/util/prefetch.h"
 #include "src/util/rng.h"
 #include "src/util/types.h"
 
@@ -60,13 +58,6 @@ class NeighborIndex {
       }
       slot = (slot + 1) & mask_;
     }
-  }
-
-  // Pulls the home slot's cache line; with load factor <= 0.5 the probe
-  // chain almost always lives on it or the next line. Pure address
-  // arithmetic before the hint — safe to call from a prefetch ring.
-  void Prefetch(vertex_id_t v, vertex_id_t dst) const {
-    KK_PREFETCH(&slots_[Mix64(Key(v, dst)) & mask_]);
   }
 
   uint64_t MemoryBytes() const { return slots_.size() * sizeof(uint64_t); }

@@ -59,21 +59,13 @@ struct PhaseAccumulator {
   SamplingStats phase_stats[kNumPhases];
   uint64_t scratch_hits = 0;        // AcquireScratch served from the freelist
   uint64_t scratch_misses = 0;      // AcquireScratch had to allocate
-  uint64_t batch_sorts = 0;         // legacy locality sorts over active batches
-  uint64_t partition_batches = 0;   // hierarchical scatter passes taken
-  uint64_t partition_walkers = 0;   // walkers routed through those passes
-  uint64_t interleave_groups = 0;   // gather->sample->advance ring groups run
+  uint64_t batch_sorts = 0;         // locality sorts over active batches
 
   void MergeStats(Phase p, const SamplingStats& s) {
     phase_stats[static_cast<size_t>(p)].Merge(s);
   }
   void CountScratch(bool hit) { hit ? ++scratch_hits : ++scratch_misses; }
   void CountBatchSort() { ++batch_sorts; }
-  void CountPartition(uint64_t walkers) {
-    ++partition_batches;
-    partition_walkers += walkers;
-  }
-  void CountInterleave(uint64_t groups) { interleave_groups += groups; }
 
   SamplingStats Stats(Phase p) const { return phase_stats[static_cast<size_t>(p)]; }
 
@@ -84,9 +76,6 @@ struct PhaseAccumulator {
     scratch_hits += other.scratch_hits;
     scratch_misses += other.scratch_misses;
     batch_sorts += other.batch_sorts;
-    partition_batches += other.partition_batches;
-    partition_walkers += other.partition_walkers;
-    interleave_groups += other.interleave_groups;
   }
 
   void Reset() { *this = PhaseAccumulator{}; }
@@ -102,15 +91,10 @@ struct PhaseAccumulator {
   static constexpr uint64_t scratch_hits = 0;
   static constexpr uint64_t scratch_misses = 0;
   static constexpr uint64_t batch_sorts = 0;
-  static constexpr uint64_t partition_batches = 0;
-  static constexpr uint64_t partition_walkers = 0;
-  static constexpr uint64_t interleave_groups = 0;
 
   void MergeStats(Phase, const SamplingStats&) {}
   void CountScratch(bool) {}
   void CountBatchSort() {}
-  void CountPartition(uint64_t) {}
-  void CountInterleave(uint64_t) {}
   SamplingStats Stats(Phase) const { return SamplingStats{}; }
   void Merge(const PhaseAccumulator&) {}
   void Reset() {}

@@ -1,11 +1,12 @@
-// Cache-geometry detection and the locality constants derived from it.
+// Cache-geometry detection and the locality constants.
 //
-// The engine's hierarchical walker partitioner (docs/PERFORMANCE.md §4) sizes
-// its vertex-range buckets from the machine's actual cache hierarchy instead
-// of a compile-time bucket count. This header is the single sanctioned home
-// for cache-flavored magic numbers: kk-lint rule KK011 flags hardcoded
-// bucket counts, prefetch distances, and cache sizes anywhere else under
-// src/, so tuning lives in one reviewable place.
+// The engine's locality pass (docs/PERFORMANCE.md §4) groups each active
+// walker batch by vertex range; kAuto decides whether a batch is worth
+// grouping by comparing its estimated touched bytes against the detected L2.
+// This header is the single sanctioned home for cache-flavored magic
+// numbers: kk-lint rule KK011 flags hardcoded bucket counts, prefetch
+// distances, and cache sizes anywhere else under src/, so tuning lives in
+// one reviewable place.
 //
 // Detection reads the Linux sysfs cache topology (cpu0's index* directories).
 // On kernels or platforms without it, `CacheGeometry::Fallback()` supplies
@@ -24,37 +25,23 @@
 namespace knightking {
 
 // Conservative fallback geometry for unknown hardware: a small, ubiquitous
-// configuration so buckets never overshoot a real cache.
+// configuration so the kAuto estimate never overshoots a real cache.
 inline constexpr uint64_t kFallbackL1dBytes = 32ull * 1024;
 inline constexpr uint64_t kFallbackL2Bytes = 512ull * 1024;
 inline constexpr uint64_t kFallbackLlcBytes = 8ull * 1024 * 1024;
 inline constexpr uint64_t kCacheLineBytes = 64;
 
-// A leaf bucket's vertex-range footprint targets this fraction of L1d (the
-// other half is left for walker state, scratch, and the sampler's transient
-// reads) — the step kernel reads several per-vertex arrays per trial, and
-// only L1-resident ranges make those reads effectively free. Super-buckets
-// target the same fraction of L2, keeping a whole run of leaf buckets warm
-// while the scatter pass streams over them.
+// kAuto groups a batch once its estimated touched bytes exceed this fraction
+// of L2 (the other half is left for scratch and the sampler's transient
+// reads).
 inline constexpr uint64_t kBucketCacheShareDiv = 2;
 
-// Hard cap on leaf bucket count: beyond this the per-batch counting-scatter
-// bookkeeping costs more than the locality it buys.
-inline constexpr uint32_t kMaxPartitionBuckets = 1u << 14;
+// Fixed vertex-range bucket count of the locality pass's counting sort.
+inline constexpr uint32_t kSortBuckets = 256;
 
-// Step-interleaving ring: walkers advance in groups of this size, with group
-// k's gather prefetches issued while group k-1 computes. Sized near the
-// line-fill-buffer depth of contemporary cores; options can override.
-inline constexpr size_t kDefaultInterleaveGroup = 8;
-
-// Bucket count used by the legacy single-level locality sort
-// (PartitionMode::kLegacySort), kept for A/B comparison against the
-// hierarchical partitioner.
-inline constexpr uint32_t kLegacySortBuckets = 256;
-
-// Batches smaller than this are never worth partitioning regardless of the
-// touched-bytes estimate: the scatter pass itself would dominate.
-inline constexpr size_t kMinPartitionBatch = 64;
+// Batches smaller than this are never worth grouping regardless of the
+// touched-bytes estimate: the sort pass itself would dominate.
+inline constexpr size_t kMinSortBatch = 64;
 
 struct CacheGeometry {
   uint64_t l1d_bytes = kFallbackL1dBytes;
@@ -180,24 +167,6 @@ struct CacheGeometry {
     return true;
   }
 };
-
-// Leaf bucket count so each bucket's vertex-range footprint fits the L1d
-// share. `footprint_bytes` is the total bytes of per-vertex hot state
-// (adjacency rows + sampler tables + envelope arrays).
-inline uint32_t PartitionBucketCount(uint64_t footprint_bytes, const CacheGeometry& geo) {
-  const uint64_t per_bucket = std::max<uint64_t>(1, geo.l1d_bytes / kBucketCacheShareDiv);
-  const uint64_t want = (footprint_bytes + per_bucket - 1) / per_bucket;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(want, 1, kMaxPartitionBuckets));
-}
-
-// Super-bucket count: coarse L2-sized ranges that leaf buckets nest inside.
-inline uint32_t PartitionSuperCount(uint64_t footprint_bytes, const CacheGeometry& geo) {
-  const uint64_t per_super = std::max<uint64_t>(1, geo.l2_bytes / kBucketCacheShareDiv);
-  const uint64_t want = (footprint_bytes + per_super - 1) / per_super;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(want, 1, kMaxPartitionBuckets));
-}
 
 }  // namespace knightking
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/deepwalk.h"
 #include "src/apps/no_return.h"
 #include "src/apps/node2vec.h"
 #include "src/engine/mailbox.h"
@@ -16,6 +17,7 @@
 #include "src/engine/walk_engine.h"
 #include "src/graph/annotate.h"
 #include "src/graph/csr.h"
+#include "src/graph/delta_store.h"
 #include "src/graph/generators.h"
 #include "src/testing/fault_injector.h"
 #include "src/util/thread_pool.h"
@@ -427,29 +429,15 @@ TEST(ForceRemoteQueriesTest, SameResultsMoreMessages) {
 
 
 TEST(BatchSortModeTest, PathEntriesIdenticalAcrossSortModesWorkersAndFaults) {
-  // The locality layer is a pure processing-order change: TakePathEntries()
-  // must be byte-identical across the whole matrix — legacy counting sort vs
-  // hierarchical partitioner, interleave ring on (group > 1) vs off (group
-  // 1), auto vs forced grouping, with and without per-node worker pools, and
-  // with the fault injector attached (which drives the same slot-keyed query
-  // protocol through re-issues and stale answers).
+  // The locality pass is a pure processing-order change: TakePathEntries()
+  // must be byte-identical across the whole matrix — auto vs forced vs no
+  // grouping, with and without per-node worker pools, and with the fault
+  // injector attached (which drives the same slot-keyed query protocol
+  // through re-issues and stale answers).
   auto graph = GenerateTruncatedPowerLaw(500, 2.0, 4, 80, 29);
   Node2VecParams params{.p = 0.5, .q = 2.0, .walk_length = 12};
-  struct LocalityConfig {
-    PartitionMode mode;
-    BatchSortMode sort;
-    size_t group;  // 0 = engine default (kDefaultInterleaveGroup)
-  };
-  const LocalityConfig configs[] = {
-      {PartitionMode::kLegacySort, BatchSortMode::kAlways, 1},
-      {PartitionMode::kLegacySort, BatchSortMode::kAlways, 8},
-      {PartitionMode::kLegacySort, BatchSortMode::kNever, 0},
-      {PartitionMode::kHierarchical, BatchSortMode::kAlways, 1},
-      {PartitionMode::kHierarchical, BatchSortMode::kAlways, 8},
-      {PartitionMode::kHierarchical, BatchSortMode::kAuto, 0},
-  };
   std::vector<PathEntry> reference;
-  for (const LocalityConfig& config : configs) {
+  for (BatchSortMode sort : {BatchSortMode::kAlways, BatchSortMode::kNever, BatchSortMode::kAuto}) {
     for (size_t workers : {size_t{0}, size_t{4}}) {
       for (bool faulted : {false, true}) {
         FaultPolicy policy;
@@ -461,9 +449,7 @@ TEST(BatchSortModeTest, PathEntriesIdenticalAcrossSortModesWorkersAndFaults) {
         opts.num_nodes = 4;
         opts.workers_per_node = workers;
         opts.parallel_nodes = workers > 0;
-        opts.partition_mode = config.mode;
-        opts.sort_batches = config.sort;
-        opts.interleave_group_size = config.group;
+        opts.sort_batches = sort;
         opts.collect_paths = true;
         opts.seed = 41;
         if (faulted) {
@@ -476,11 +462,57 @@ TEST(BatchSortModeTest, PathEntriesIdenticalAcrossSortModesWorkersAndFaults) {
         if (reference.empty()) {
           reference = std::move(entries);
         } else {
-          EXPECT_EQ(entries, reference)
-              << "partition=" << static_cast<int>(config.mode)
-              << " sort=" << static_cast<int>(config.sort) << " group=" << config.group
-              << " workers=" << workers << " faulted=" << faulted;
+          EXPECT_EQ(entries, reference) << "sort=" << static_cast<int>(sort)
+                                        << " workers=" << workers << " faulted=" << faulted;
         }
+      }
+    }
+  }
+}
+
+TEST(BatchSortModeTest, PathEntriesIdenticalOverMutatedRows) {
+  // Walkers that sit on dirty overlay rows group exactly like clean ones: a
+  // weighted DeepWalk beside a log that inserts, deletes and reweights across
+  // supersteps walks byte-identically with forced and disabled grouping.
+  auto edges = AssignPowerLawWeights(GenerateTruncatedPowerLaw(400, 2.0, 4, 60, 31), 8.0f, 2.0, 37);
+  const auto base = Csr<WeightedEdgeData>::FromEdgeList(edges);
+  MutationLog log(/*seed=*/53);
+  auto op = [](MutationOp kind, vertex_id_t src, vertex_id_t dst, real_t weight) {
+    return EdgeMutation{.src = src, .dst = dst, .weight = weight, .op = kind};
+  };
+  log.Append(1, {op(MutationOp::kInsert, 0, 200, 3.0f), op(MutationOp::kInsert, 7, 300, 0.5f),
+                 op(MutationOp::kReweight, 0, base.Neighbors(0)[0].neighbor, 6.0f)});
+  log.Append(3, {op(MutationOp::kDelete, 7, base.Neighbors(7)[0].neighbor, 0.0f),
+                 op(MutationOp::kInsert, 200, 0, 2.0f),
+                 op(MutationOp::kReweight, 0, 200, 0.25f)});
+  log.Append(5, {op(MutationOp::kDelete, 0, 200, 0.0f), op(MutationOp::kInsert, 300, 7, 1.5f)});
+  std::vector<PathEntry> reference;
+  for (BatchSortMode sort : {BatchSortMode::kAlways, BatchSortMode::kNever}) {
+    for (size_t workers : {size_t{0}, size_t{4}}) {
+      WalkEngineOptions opts;
+      opts.num_nodes = 4;
+      opts.workers_per_node = workers;
+      opts.sort_batches = sort;
+      opts.mutation_log = &log;
+      opts.collect_paths = true;
+      opts.seed = 47;
+      WalkEngine<WeightedEdgeData> engine(base, opts);
+      engine.Run(DeepWalkTransition<WeightedEdgeData>(), DeepWalkWalkers(400, {.walk_length = 12}));
+      EXPECT_GT(engine.mutation_counters().rows_materialized, 0u);
+      uint64_t sorts = 0;
+      for (node_rank_t n = 0; n < opts.num_nodes; ++n) {
+        sorts += engine.node_observability(n).batch_sorts;
+      }
+      if (obs::kObsEnabled && sort == BatchSortMode::kAlways) {
+        EXPECT_GT(sorts, 0u);
+      }
+      std::vector<PathEntry> entries = engine.TakePathEntries();
+      ASSERT_FALSE(entries.empty());
+      if (reference.empty()) {
+        reference = std::move(entries);
+      } else {
+        EXPECT_EQ(entries, reference)
+            << "sort=" << static_cast<int>(sort) << " workers=" << workers;
       }
     }
   }

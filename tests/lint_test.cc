@@ -141,7 +141,7 @@ TEST(KkLintTest, Kk010RawThreadFixture) {
 TEST(KkLintTest, Kk011CacheGeometryLiteralFixture) {
   auto findings = LintFixture("src/engine/kk011_cache_literal.cc");
   EXPECT_EQ(RuleIds(findings), std::set<std::string>{"KK011"});
-  // Hardcoded bucket count + ring size; the PartitionBucketCount call, the
+  // Hardcoded bucket count + ring size; the geometry-derived count, the
   // named-constant default, and the 0/1 neutral values all stay silent.
   EXPECT_EQ(findings.size(), 2u);
 }

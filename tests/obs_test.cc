@@ -191,15 +191,14 @@ TEST(MetricsCheckerTest, ValidatesHotpathBenchReports) {
 }
 
 TEST(MetricsCheckerTest, ValidatesHotpathLocalityFields) {
-  // Locality-era reports carry the partition/interleave configuration and
-  // counters; all optional (pre-locality reports lack them), enum strings
+  // Locality-era reports carry the worker schedule and the locality/worker
+  // counters; all optional (older reports lack them), enum strings
   // restricted, numbers type-checked.
   const std::string valid = R"({
     "schema_version": 1,
     "bench": "hotpath",
     "config": {"small": true, "sort_batches": true, "num_nodes": 4,
                "workers_per_node": 0, "graph_vertices": 100, "graph_edges": 400,
-               "partition_mode": "hierarchical", "interleave_group_size": 0,
                "worker_schedule": "topology"},
     "workloads": [{
       "name": "node2vec", "walkers": 100, "seconds": 0.5, "walks_per_sec": 200.0,
@@ -208,28 +207,25 @@ TEST(MetricsCheckerTest, ValidatesHotpathLocalityFields) {
       "phase_seconds": {"sample": 0.1, "respond": 0.0, "resolve": 0.0,
                         "exchange": 0.2},
       "cross_node_messages": 10, "cross_node_bytes": 640,
-      "partition_buckets": 148, "partition_super_buckets": 4,
-      "interleave_group": 8, "effective_workers": 0,
-      "partition_batches": 120, "partition_walkers": 48000,
-      "interleave_groups": 6100
+      "effective_workers": 0, "batch_sorts": 120
     }]
   })";
   metrics::CheckResult r = metrics::CheckJsonText(valid);
   EXPECT_TRUE(r.ok) << r.error;
 
-  std::string bad_mode = valid;
-  size_t pos = bad_mode.find("\"hierarchical\"");
+  std::string bad_schedule = valid;
+  size_t pos = bad_schedule.find("\"topology\"");
   ASSERT_NE(pos, std::string::npos);
-  bad_mode.replace(pos, std::string("\"hierarchical\"").size(), "\"diagonal\"");
-  metrics::CheckResult r_mode = metrics::CheckJsonText(bad_mode);
-  EXPECT_FALSE(r_mode.ok);
-  EXPECT_NE(r_mode.error.find("partition_mode"), std::string::npos) << r_mode.error;
+  bad_schedule.replace(pos, std::string("\"topology\"").size(), "\"diagonal\"");
+  metrics::CheckResult r_schedule = metrics::CheckJsonText(bad_schedule);
+  EXPECT_FALSE(r_schedule.ok);
+  EXPECT_NE(r_schedule.error.find("worker_schedule"), std::string::npos) << r_schedule.error;
 
   std::string bad_counter = valid;
-  pos = bad_counter.find("\"partition_buckets\": 148");
+  pos = bad_counter.find("\"batch_sorts\": 120");
   ASSERT_NE(pos, std::string::npos);
-  bad_counter.replace(pos, std::string("\"partition_buckets\": 148").size(),
-                      "\"partition_buckets\": \"many\"");
+  bad_counter.replace(pos, std::string("\"batch_sorts\": 120").size(),
+                      "\"batch_sorts\": \"many\"");
   EXPECT_FALSE(metrics::CheckJsonText(bad_counter).ok);
 }
 

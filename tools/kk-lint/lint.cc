@@ -56,7 +56,7 @@ const std::vector<RuleInfo> kRules = {
      "guarantees"},
     {"KK011", "cache-geometry-literal", "cache-geometry-ok",
      "src/ except src/util/cache_geometry.h",
-     "derive bucket counts, interleave groups, prefetch distances, and cache "
+     "derive bucket counts, batch thresholds, prefetch distances, and cache "
      "sizes from src/util/cache_geometry.h constants or CacheGeometry::Detect; "
      "hardcoded cache-shaped literals silently mistune on other hardware"},
 };

@@ -167,8 +167,6 @@ void CheckHotpath(const JsonValue& doc, CheckResult* r) {
       !RequireNumber(*config, "graph_vertices", r, "config") ||
       !RequireNumber(*config, "graph_edges", r, "config") ||
       !OptionalNumber(*config, "checkpoint_every", r, "config") ||
-      !OptionalEnum(*config, "partition_mode", {"hierarchical", "legacy"}, r, "config") ||
-      !OptionalNumber(*config, "interleave_group_size", r, "config") ||
       !OptionalEnum(*config, "worker_schedule", {"topology", "fixed"}, r, "config")) {
     return;
   }
@@ -205,9 +203,7 @@ void CheckHotpath(const JsonValue& doc, CheckResult* r) {
       }
     }
     for (const char* key : {"checkpoints", "checkpoint_bytes", "checkpoint_micros",
-                            "partition_buckets", "partition_super_buckets", "interleave_group",
-                            "effective_workers", "partition_batches", "partition_walkers",
-                            "interleave_groups"}) {
+                            "effective_workers", "batch_sorts"}) {
       if (!OptionalNumber(w, key, r, where)) {
         return;
       }
