@@ -1,14 +1,13 @@
 // Ablations of KnightKing design choices called out in DESIGN.md §5 (beyond
 // the paper's own Table 5 / Fig. 8 ablations, which have dedicated benches):
 //
-//   1. local-answer fast path for walker-to-vertex queries (§5.1):
-//      answering same-node queries inline vs. forcing the two message
-//      rounds for everything;
-//   2. alias vs. ITS as the static (Ps) sampler (§3);
-//   3. dynamic-scheduling chunk size (§6.2 fixes 128);
-//   4. lockstep trial bound before the exact fallback scan (Meta-path
-//      dead-end detection cost vs. wasted trials);
-//   5. phase-time breakdown of a second-order walk.
+//   1. alias vs. ITS as the static (Ps) sampler (§3);
+//   2. phase-time breakdown of a second-order walk.
+//
+// The engine fixes the rest: same-node state queries are answered inline
+// (§5.1), the scheduling chunk is kDefaultChunkSize (128, §6.2), and a
+// lockstep walker throws at most kMaxTrialsPerStep (64) darts before the
+// exact fallback scan.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -20,23 +19,7 @@ int main() {
   auto list = BuildSimDataset(SimDataset::kFriendsterSim, kGraphSeed);
   Node2VecParams n2v{.p = 2.0, .q = 0.5, .walk_length = 80};
 
-  std::printf("Ablation 1: local-answer fast path (node2vec, 4 logical nodes)\n");
-  PrintRule(70);
-  for (bool force_remote : {false, true}) {
-    WalkEngineOptions opts;
-    opts.seed = kRunSeed;
-    opts.num_nodes = 4;
-    opts.force_remote_queries = force_remote;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(list), opts);
-    auto r = TimedRun(engine, Node2VecTransition(engine.graph(), n2v),
-                      Node2VecWalkers(list.num_vertices, n2v));
-    std::printf("  %-22s %8.2fs  remote queries %12llu  local %12llu\n",
-                force_remote ? "forced remote" : "local fast path", r.seconds,
-                static_cast<unsigned long long>(r.stats.queries_remote),
-                static_cast<unsigned long long>(r.stats.queries_local));
-  }
-
-  std::printf("\nAblation 2: static sampler kind (weighted DeepWalk + weighted node2vec)\n");
+  std::printf("Ablation 1: static sampler kind (weighted DeepWalk + weighted node2vec)\n");
   PrintRule(70);
   auto weighted = AssignUniformWeights(list, 1.0f, 5.0f, kWeightSeed);
   for (auto kind : {StaticSamplerKind::kAlias, StaticSamplerKind::kIts}) {
@@ -53,37 +36,7 @@ int main() {
                 r1.seconds, r2.seconds);
   }
 
-  std::printf("\nAblation 3: scheduling chunk size (node2vec, 8 workers/node)\n");
-  PrintRule(70);
-  for (size_t chunk : {16u, 128u, 1024u, 8192u}) {
-    WalkEngineOptions opts;
-    opts.seed = kRunSeed;
-    opts.workers_per_node = 8;
-    opts.chunk_size = chunk;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(list), opts);
-    auto r = TimedRun(engine, Node2VecTransition(engine.graph(), n2v),
-                      Node2VecWalkers(list.num_vertices, n2v));
-    std::printf("  chunk %5zu: %8.2fs\n", chunk, r.seconds);
-  }
-
-  std::printf("\nAblation 4: lockstep trial bound before exact fallback (Meta-path)\n");
-  PrintRule(70);
-  auto typed = AssignEdgeTypes(list, 5, kWeightSeed);
-  MetaPathParams mp = PaperMetaPathParams();
-  for (uint32_t bound : {4u, 16u, 64u, 256u}) {
-    WalkEngineOptions opts;
-    opts.seed = kRunSeed;
-    opts.max_trials_per_step = bound;
-    WalkEngine<TypedEdgeData, MetaPathWalkerState> engine(
-        Csr<TypedEdgeData>::FromEdgeList(typed), opts);
-    auto r = TimedRun(engine, MetaPathTransition<TypedEdgeData>(mp),
-                      MetaPathWalkers(typed.num_vertices, mp));
-    std::printf("  bound %4u: %8.2fs  trials/step %5.2f  fallback scans %10llu\n", bound,
-                r.seconds, r.stats.TrialsPerStep(),
-                static_cast<unsigned long long>(r.stats.fallback_scans));
-  }
-
-  std::printf("\nAblation 5: phase breakdown (node2vec, 4 nodes)\n");
+  std::printf("\nAblation 2: phase breakdown (node2vec, 4 nodes)\n");
   PrintRule(70);
   {
     WalkEngineOptions opts;

@@ -128,22 +128,11 @@ struct WalkEngineOptions {
   // Record every walker position (costs memory; excluded from timing in the
   // paper, so benchmarks leave it off).
   bool collect_paths = false;
-  // Lockstep mode: failed trials per walker per iteration before the engine
-  // falls back to one exact full scan (still exact sampling; guards
-  // distributions with very low acceptance such as Meta-path dead ends).
-  uint32_t max_trials_per_step = 64;
-  // Dynamic-scheduling granularity: walkers / messages per task chunk
-  // (§6.2 sets 128 for both).
-  size_t chunk_size = kDefaultChunkSize;
   // Run each phase's per-node work on one thread per logical node, as a
   // real cluster would execute concurrently. Results are identical either
   // way (walkers carry their own RNG); default off — on few-core machines
   // the sequential driver is faster and timing-stable.
   bool parallel_nodes = false;
-  // Ablation switch: route ALL walker-to-vertex queries through the message
-  // rounds, even when the queried vertex lives on the walker's own node.
-  // Disables the local-answer fast path; sampling results are unchanged.
-  bool force_remote_queries = false;
   // Fault injection (non-owning; see src/testing/fault_injector.h). When
   // set, the engine attaches the injector to all mailboxes and activates
   // its reliability protocol: acks + bounded retransmit for walker
@@ -199,15 +188,6 @@ struct WalkEngineOptions {
   // because kkbench/batch.cc still assigns it; both go with the next change
   // to kkbench.
   DynamicSamplerMode dynamic_sampler = DynamicSamplerMode::kAliasClass;
-  // Deterministic simulation mode: drains every mailbox in a canonical
-  // (content-sorted) order so internal processing order is independent of
-  // thread scheduling and merge timing. Walk *output* is bit-identical
-  // across workers_per_node / num_nodes even without this flag (walkers
-  // carry their own RNG); deterministic mode additionally canonicalizes
-  // internal event order, which keeps seeded fault schedules and
-  // diagnostics reproducible. See docs/TESTING.md for what voids the
-  // guarantee.
-  bool deterministic = false;
 };
 
 // Wall-clock breakdown of the last Run, accumulated per phase by the
@@ -223,6 +203,14 @@ struct EnginePhaseTimes {
 // Iterations without any walker progress before the engine declares the walk
 // wedged (see Run()).
 inline constexpr uint64_t kMaxStalledIterations = 100000;
+
+// Lockstep mode: rejected trials per walker per iteration before the engine
+// falls back to one exact full scan (FallbackScan). The scan samples the
+// same law, so the bound only caps the darts spent on distributions with
+// very low acceptance, such as Meta-path dead ends. A Meta-path sweep over
+// 4..256 found 64 the knee between costly fallbacks and wasted trials
+// (EXPERIMENTS.md).
+inline constexpr uint32_t kMaxTrialsPerStep = 64;
 
 // Supersteps a walker message may stay unacknowledged — or a state query
 // unanswered — before it is re-sent. A fault-free round trip completes
@@ -408,15 +396,13 @@ class WalkEngine {
         trace->SetProcessName(n + 1u, "node " + std::to_string(n));
       }
     }
-    double span_start = trace != nullptr ? trace->Now() : 0.0;
-    Prepare();
-    if (trace != nullptr) {
-      trace->RecordSpan("prepare", 0, 0, span_start, trace->Now() - span_start, 0);
-      span_start = trace->Now();
+    {
+      obs::StageTimer span(trace, "prepare", 0, 0);
+      Prepare();
     }
-    DeployWalkers();
-    if (trace != nullptr) {
-      trace->RecordSpan("deploy", 0, 0, span_start, trace->Now() - span_start, 0);
+    {
+      obs::StageTimer span(trace, "deploy", 0, 0);
+      DeployWalkers();
     }
 
     active_history_.clear();
@@ -548,15 +534,7 @@ class WalkEngine {
   // mutation log). Live counters plus everything folded out at merges.
   MutationCounters mutation_counters() const {
     MutationCounters c = folded_;
-    const auto& s = delta_.stats();
-    c.inserted += s.inserted;
-    c.removed += s.removed;
-    c.reweighted += s.reweighted;
-    c.rejected += s.rejected;
-    c.rows_materialized += s.rows_materialized;
-    c.full_builds += overlay_.full_builds();
-    c.bucket_builds += overlay_.bucket_builds();
-    c.incremental_updates += overlay_.incremental_updates();
+    AddLiveMutationCounters(c);
     c.merges = merges_;
     c.delta_mutations = delta_.DeltaMutations();
     return c;
@@ -913,11 +891,7 @@ class WalkEngine {
   static_assert(sizeof(QueryMsg) == 32);
   static_assert(sizeof(QueryResponse) > sizeof(uint32_t) || sizeof(ResponseMsg) == 24);
 
-  // Canonical orders for deterministic mode and snapshots: query/response
-  // messages by content key, parked trials and in-flight copies by walker.
-  static constexpr auto kByContentKey = [](const auto& a, const auto& b) {
-    return a.walker != b.walker ? a.walker < b.walker : a.epoch < b.epoch;
-  };
+  // Canonical snapshot order of parked trials and in-flight copies.
   static constexpr auto kByWalkerId = [](const auto& a, const auto& b) {
     return a.walker.id < b.walker.id;
   };
@@ -1199,7 +1173,8 @@ class WalkEngine {
   // row. Wall-clock accrues to merge_micros (graph.merge_micros, unstable).
   void MergeOverlay() {
     Timer merge_timer;
-    FoldMutationCounters();
+    // Preserves the live counters across the resets below.
+    AddLiveMutationCounters(folded_);
     Csr<EdgeData> merged = delta_.MergedCsr(PreparePool());
     graph_ = std::move(merged);
     delta_.Reset(&graph_);
@@ -1209,17 +1184,18 @@ class WalkEngine {
     merge_micros_ += static_cast<uint64_t>(merge_timer.Seconds() * 1e6);
   }
 
-  // Preserves the live overlay counters across the resets Merge performs.
-  void FoldMutationCounters() {
+  // Adds the counters the delta store and the overlay have kept since their
+  // last reset.
+  void AddLiveMutationCounters(MutationCounters& c) const {
     const auto& s = delta_.stats();
-    folded_.inserted += s.inserted;
-    folded_.removed += s.removed;
-    folded_.reweighted += s.reweighted;
-    folded_.rejected += s.rejected;
-    folded_.rows_materialized += s.rows_materialized;
-    folded_.full_builds += overlay_.full_builds();
-    folded_.bucket_builds += overlay_.bucket_builds();
-    folded_.incremental_updates += overlay_.incremental_updates();
+    c.inserted += s.inserted;
+    c.removed += s.removed;
+    c.reweighted += s.reweighted;
+    c.rejected += s.rejected;
+    c.rows_materialized += s.rows_materialized;
+    c.full_builds += overlay_.full_builds();
+    c.bucket_builds += overlay_.bucket_builds();
+    c.incremental_updates += overlay_.incremental_updates();
   }
 
   // Rebuilds the graph exactly as it stood after `count` applied batches:
@@ -1403,7 +1379,7 @@ class WalkEngine {
       fn(0, total);
       return;
     }
-    pool->ParallelFor(total, options_.chunk_size, fn);
+    pool->ParallelFor(total, kDefaultChunkSize, fn);
   }
 
   // Locality pass (§6.2 scheduling + the access-ordering insight ThunderRW
@@ -1438,9 +1414,8 @@ class WalkEngine {
   // The locality pass: groups `batch` by cur's vertex range (kSortBuckets
   // fixed ranges) with a stable counting sort into a per-node reused buffer
   // (steady state allocates nothing). The pass is a pure function of message
-  // content plus input order; deterministic mode feeds it an id-canonical
-  // batch, so the grouped order is canonical too. Never observable in walk
-  // output — each walker's RNG stream is its own.
+  // content plus input order. Never observable in walk output — each
+  // walker's RNG stream is its own.
   void SortBatchByLocality(NodeState& node, std::vector<WalkerT>& batch) {
     uint64_t num_v = graph_.num_vertices();
     auto bucket_of = [num_v](const WalkerT& w) {
@@ -1620,8 +1595,7 @@ class WalkEngine {
     if (dst_node == src_node && !reliable_) {
       // Local landing, fault-free: skip the mailbox round trip. The walker
       // joins next_active through the same merge as stay-put walkers; walk
-      // output is order-independent (per-walker RNG streams), and the
-      // deterministic mode's canonical sort covers the batch order.
+      // output is order-independent (per-walker RNG streams).
       scratch.stay.push_back(std::move(w));
       return;
     }
@@ -1639,7 +1613,7 @@ class WalkEngine {
   // Lockstep step: retries trials until acceptance (bounded, then exact
   // fallback). Every surviving walker advances exactly one step.
   void LockstepWalk(WalkerT& w, node_rank_t node_rank, Scratch& scratch) {
-    for (uint32_t t = 0; t < options_.max_trials_per_step; ++t) {
+    for (uint32_t t = 0; t < kMaxTrialsPerStep; ++t) {
       TrialResult r = RunTrial(w, scratch.stats);
       switch (r.outcome) {
         case TrialOutcome::kAccept:
@@ -1677,7 +1651,7 @@ class WalkEngine {
     }
     const AdjT& edge = NeighborsOf(w.cur)[r.candidate];
     vertex_id_t subject = edge.neighbor;
-    if (!options_.force_remote_queries && partition_.OwnerOf(r.query_target) == node_rank) {
+    if (partition_.OwnerOf(r.query_target) == node_rank) {
       // Local-answer fast path: the queried vertex lives here.
       scratch.stats.queries_local += 1;
       QueryResponse resp = transition_->respond_query(graph_, r.query_target, subject);
@@ -1863,8 +1837,7 @@ class WalkEngine {
     static_assert(std::is_trivially_copyable_v<PathEntry>);
     static_assert(std::is_trivially_copyable_v<SamplingStats>);
     Timer timer;
-    obs::TraceRecorder* const trace = options_.trace;
-    double span_start = trace != nullptr ? trace->Now() : 0.0;
+    obs::StageTimer span(options_.trace, "checkpoint", 0, superstep_);
     const std::string tmp = options_.checkpoint_path + ".tmp";
     BinaryFileWriter w(tmp);
     KK_CHECK_MSG(w.ok(), "cannot open checkpoint tmp file %s", tmp.c_str());
@@ -1891,10 +1864,11 @@ class WalkEngine {
       w.Write(static_cast<uint64_t>(sizeof(SamplingStats)));
       w.WriteBytes(&node->stats, sizeof(SamplingStats));
       w.WriteVec(node->active);
-      // The snapshot must be a pure function of engine state, not of merge
-      // order or hash-map layout: canonicalize parked trials and in-flight
-      // copies by walker id before serializing. Walk output never depends on
-      // either order.
+      // Only the parked and in-flight sections are canonical (sorted by
+      // walker id, so they do not reflect merge order or hash-map layout).
+      // The active and path_log sections keep merge order; recovery does
+      // not depend on it, since every walker carries its own RNG stream and
+      // path assembly places entries by (walker, step).
       parked_sorted.assign(node->parked.begin(), node->parked.end());
       std::ranges::sort(parked_sorted, kByWalkerId);
       w.WriteVec(parked_sorted);
@@ -1916,10 +1890,6 @@ class WalkEngine {
     ckpt_stats_.checkpoints += 1;
     ckpt_stats_.checkpoint_bytes += bytes;
     ckpt_stats_.checkpoint_micros += static_cast<uint64_t>(timer.Seconds() * 1e6);
-    if (trace != nullptr) {
-      trace->RecordSpan("checkpoint", 0, 0, span_start, trace->Now() - span_start,
-                        superstep_);
-    }
   }
 
   // Simulated whole-node failure: node `rank` loses all volatile state, and
@@ -1934,8 +1904,7 @@ class WalkEngine {
     KK_CHECK_MSG(options_.checkpoint_every > 0,
                  "node crash fired with checkpointing disabled");
     KK_CHECK(rank < options_.num_nodes);
-    obs::TraceRecorder* const trace = options_.trace;
-    double span_start = trace != nullptr ? trace->Now() : 0.0;
+    obs::StageTimer span(options_.trace, "recover", 0, superstep_);
     NodeState& crashed = *nodes_[rank];
     {
       MutexLock lock(crashed.merge_mutex);  // no phase in flight during recovery
@@ -1954,25 +1923,43 @@ class WalkEngine {
                  "cannot restore checkpoint %s after node %u crash",
                  options_.checkpoint_path.c_str(), static_cast<unsigned>(rank));
     ckpt_stats_.recoveries += 1;
-    if (trace != nullptr) {
-      trace->RecordSpan("recover", 0, 0, span_start, trace->Now() - span_start,
-                        superstep_);
-    }
+    span.set_iteration(superstep_);  // the restored superstep
   }
 
+  // One BSP superstep. Phase A samples; a second-order walk then delivers
+  // its state queries (phase B) and resolves the parked trials with the
+  // answers (phase C); walker moves are delivered last. Each phase records
+  // one driver-lane span plus one span per logical node.
   void RunIteration() {
-    node_rank_t num_nodes = options_.num_nodes;
-    Timer phase_timer;
-    obs::TraceRecorder* const trace = options_.trace;
-    double span_start = trace != nullptr ? trace->Now() : 0.0;
+    SamplePhase();
+    if (second_order_) {
+      TimedExchange(*query_mail_);
+      RespondPhase();
+      TimedExchange(*response_mail_);
+      ResolvePhase();
+    }
+    DeliverWalkers();
+  }
 
-    // Phase A: every active walker performs its sampling work. The locality
-    // pass groups the batch by vertex first; the step loop then prefetches
-    // one walker ahead. Both are unobservable in walk output — each walker's
-    // RNG stream is its own.
+  // A mailbox barrier outside the traced phases; its wall time counts as
+  // exchange.
+  template <typename Mail>
+  void TimedExchange(Mail& mail) {
+    Timer timer;
+    mail.Exchange();
+    phase_times_.exchange += timer.Seconds();
+  }
+
+  // Phase A: every active walker performs its sampling work. The locality
+  // pass groups the batch by vertex first; the step loop then prefetches
+  // one walker ahead. Both are unobservable in walk output — each walker's
+  // RNG stream is its own.
+  void SamplePhase() {
+    obs::TraceRecorder* const trace = options_.trace;
+    obs::StageTimer phase(trace, "sample", 0, superstep_, &phase_times_.sample);
     ForEachNode([&](node_rank_t n) {
+      obs::StageTimer span(trace, "sample", n + 1u, superstep_);
       NodeState& node = *nodes_[n];
-      double node_start = trace != nullptr ? trace->Now() : 0.0;
       std::vector<WalkerT> batch = std::move(node.active);
       node.active.clear();
       if (ShouldSortBatch(batch.size())) {
@@ -1994,156 +1981,116 @@ class WalkEngine {
         MergeScratch(node, n, *scratch, obs::Phase::kSample);
         ReleaseScratch(node, std::move(scratch));
       });
-      if (trace != nullptr) {
-        trace->RecordSpan("sample", n + 1u, 0, node_start, trace->Now() - node_start, superstep_);
-      }
     });
-    phase_times_.sample += phase_timer.Seconds();
-    if (trace != nullptr) {
-      trace->RecordSpan("sample", 0, 0, span_start, trace->Now() - span_start, superstep_);
-    }
+  }
 
-    if (second_order_) {
-      // Phase B: deliver queries; owners answer them.
-      phase_timer.Restart();
-      query_mail_->Exchange();
-      phase_times_.exchange += phase_timer.Seconds();
-      phase_timer.Restart();
-      if (trace != nullptr) {
-        span_start = trace->Now();
-      }
-      ForEachNode([&](node_rank_t n) {
-        NodeState& node = *nodes_[n];
-        double node_start = trace != nullptr ? trace->Now() : 0.0;
-        auto& inbox = query_mail_->Inbox(n);
-        if (options_.deterministic) {
-          std::ranges::sort(inbox, kByContentKey);
+  // Phase B: the owners of the queried vertices answer the delivered
+  // queries.
+  void RespondPhase() {
+    obs::TraceRecorder* const trace = options_.trace;
+    obs::StageTimer phase(trace, "respond", 0, superstep_, &phase_times_.respond);
+    ForEachNode([&](node_rank_t n) {
+      obs::StageTimer span(trace, "respond", n + 1u, superstep_);
+      NodeState& node = *nodes_[n];
+      auto& inbox = query_mail_->Inbox(n);
+      ParallelOver(node, inbox.size(), [&](size_t begin, size_t end) {
+        std::unique_ptr<Scratch> scratch = AcquireScratch(node);
+        for (size_t i = begin; i < end; ++i) {
+          const QueryMsg& q = inbox[i];
+          KK_DCHECK(partition_.Owns(n, q.target));
+          QueryResponse payload = transition_->respond_query(graph_, q.target, q.subject);
+          scratch->responses[q.origin].push_back({q.walker, q.epoch, q.slot, payload});
         }
-        ParallelOver(node, inbox.size(), [&](size_t begin, size_t end) {
-          std::unique_ptr<Scratch> scratch = AcquireScratch(node);
-          for (size_t i = begin; i < end; ++i) {
-            const QueryMsg& q = inbox[i];
-            KK_DCHECK(partition_.Owns(n, q.target));
-            QueryResponse payload = transition_->respond_query(graph_, q.target, q.subject);
-            scratch->responses[q.origin].push_back({q.walker, q.epoch, q.slot, payload});
-          }
-          for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-            response_mail_->Post(n, dst, std::move(scratch->responses[dst]));
-          }
-          ReleaseScratch(node, std::move(scratch));
-        });
-        inbox.clear();
-        if (trace != nullptr) {
-          trace->RecordSpan("respond", n + 1u, 0, node_start, trace->Now() - node_start,
-                            superstep_);
+        for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
+          response_mail_->Post(n, dst, std::move(scratch->responses[dst]));
         }
+        ReleaseScratch(node, std::move(scratch));
       });
-      phase_times_.respond += phase_timer.Seconds();
-      if (trace != nullptr) {
-        trace->RecordSpan("respond", 0, 0, span_start, trace->Now() - span_start, superstep_);
-      }
+      inbox.clear();
+    });
+  }
 
-      // Phase C: responses return; parked trials decide.
-      phase_timer.Restart();
-      response_mail_->Exchange();
-      phase_times_.exchange += phase_timer.Seconds();
-      phase_timer.Restart();
-      if (trace != nullptr) {
-        span_start = trace->Now();
+  // Phase C: responses have returned; parked trials decide.
+  void ResolvePhase() {
+    obs::TraceRecorder* const trace = options_.trace;
+    obs::StageTimer phase(trace, "resolve", 0, superstep_, &phase_times_.resolve);
+    ForEachNode([&](node_rank_t n) {
+      obs::StageTimer span(trace, "resolve", n + 1u, superstep_);
+      NodeState& node = *nodes_[n];
+      SamplingStats resolve_delta;
+      auto& resp_inbox = response_mail_->Inbox(n);
+      // Every parked trial drains into this phase-local vector so the
+      // worker chunks below never alias merge_mutex-guarded state (the
+      // thread-safety analysis cannot track references into guarded
+      // containers); swapping keeps parked's high-water capacity.
+      std::vector<PendingTrial> trials;
+      {
+        MutexLock lock(node.merge_mutex);
+        trials.swap(node.parked);
       }
-      ForEachNode([&](node_rank_t n) {
-        NodeState& node = *nodes_[n];
-        double node_start = trace != nullptr ? trace->Now() : 0.0;
-        SamplingStats resolve_delta;
-        auto& resp_inbox = response_mail_->Inbox(n);
-        if (options_.deterministic) {
-          std::ranges::sort(resp_inbox, kByContentKey);
+      // A response lands in its slot only if the slot still holds the issue
+      // it answers, unanswered and unmoved since (age 0). Anything else — a
+      // duplicate, or a late answer to a trial that has waited through a
+      // phase C — is stale. So acceptance depends on message content alone,
+      // never on which slot merge order gave a trial.
+      size_t answered = 0;
+      for (const ResponseMsg& resp : resp_inbox) {
+        PendingTrial* trial = resp.slot < trials.size() ? &trials[resp.slot] : nullptr;
+        if (trial == nullptr || trial->walker.id != resp.walker ||
+            trial->epoch != resp.epoch || trial->age != 0 || trial->responded) {
+          resolve_delta.stale_responses += 1;
+          continue;
         }
-        // Every parked trial drains into this phase-local vector so the
-        // worker chunks below never alias merge_mutex-guarded state (the
-        // thread-safety analysis cannot track references into guarded
-        // containers); swapping keeps parked's high-water capacity.
-        std::vector<PendingTrial> trials;
-        {
-          MutexLock lock(node.merge_mutex);
-          trials.swap(node.parked);
-        }
-        // A response lands in its slot only if the slot still holds the issue
-        // it answers, unanswered and unmoved since (age 0). Anything else — a
-        // duplicate, or a late answer to a trial that has waited through a
-        // phase C — is stale. So acceptance depends on message content alone,
-        // never on which slot merge order gave a trial.
-        size_t answered = 0;
-        for (const ResponseMsg& resp : resp_inbox) {
-          PendingTrial* trial = resp.slot < trials.size() ? &trials[resp.slot] : nullptr;
-          if (trial == nullptr || trial->walker.id != resp.walker ||
-              trial->epoch != resp.epoch || trial->age != 0 || trial->responded) {
-            resolve_delta.stale_responses += 1;
-            continue;
-          }
-          trial->response = resp.payload;
-          trial->responded = true;
-          ++answered;
-        }
-        resp_inbox.clear();
-        size_t waiting = 0;
-        if (answered != trials.size()) {
-          KK_CHECK_MSG(reliable_, "a state query went unanswered in a fault-free superstep");
-          waiting = RequeueUnanswered(node, n, trials, resolve_delta);
-        }
-        if (options_.deterministic) {
-          std::ranges::sort(std::span(trials).subspan(waiting), kByWalkerId);
-        }
-        // No locality re-sort here: resolved trials already arrive roughly
-        // cur-clustered (phase A grouped their walkers), and PendingTrial is
-        // heavy enough that another counting pass costs more than it saves.
-        ParallelOver(node, trials.size() - waiting, [&](size_t begin, size_t end) {
-          std::unique_ptr<Scratch> scratch = AcquireScratch(node);
-          PrefetchedRun(
-              waiting + begin, waiting + end, [&](size_t i) { return trials[i].walker.cur; },
-              [&](size_t i) {
-                PendingTrial& trial = trials[i];
-                WalkerT& w = trial.walker;
-                const AdjT& edge = NeighborsOf(w.cur)[trial.candidate];
-                scratch->stats.pd_computations += 1;
-                real_t pd = transition_->dynamic_comp(w, w.cur, edge, trial.response);
-                if (trial.y < pd) {
-                  scratch->stats.trial_accepts += 1;
-                  CommitMove(w, trial.candidate, n, *scratch);
-                } else {
-                  scratch->stats.trial_rejects += 1;
-                  scratch->stay.push_back(std::move(w));
-                }
-              });
-          MergeScratch(node, n, *scratch, obs::Phase::kResolve);
-          ReleaseScratch(node, std::move(scratch));
-        });
-        {
-          MutexLock lock(node.merge_mutex);
-          // The waiting prefix is the new parked vector, slots unchanged
-          // (phase C resolution commits or stays; it never parks a trial).
-          KK_DCHECK(node.parked.empty());
-          trials.resize(waiting);
-          node.parked.swap(trials);
-          node.stats.Merge(resolve_delta);
-          node.obs.MergeStats(obs::Phase::kResolve, resolve_delta);
-        }
-        if (trace != nullptr) {
-          trace->RecordSpan("resolve", n + 1u, 0, node_start, trace->Now() - node_start,
-                            superstep_);
-        }
+        trial->response = resp.payload;
+        trial->responded = true;
+        ++answered;
+      }
+      resp_inbox.clear();
+      size_t waiting = 0;
+      if (answered != trials.size()) {
+        KK_CHECK_MSG(reliable_, "a state query went unanswered in a fault-free superstep");
+        waiting = RequeueUnanswered(node, n, trials, resolve_delta);
+      }
+      // No locality re-sort here: resolved trials already arrive roughly
+      // cur-clustered (phase A grouped their walkers), and PendingTrial is
+      // heavy enough that another counting pass costs more than it saves.
+      ParallelOver(node, trials.size() - waiting, [&](size_t begin, size_t end) {
+        std::unique_ptr<Scratch> scratch = AcquireScratch(node);
+        PrefetchedRun(
+            waiting + begin, waiting + end, [&](size_t i) { return trials[i].walker.cur; },
+            [&](size_t i) {
+              PendingTrial& trial = trials[i];
+              WalkerT& w = trial.walker;
+              const AdjT& edge = NeighborsOf(w.cur)[trial.candidate];
+              scratch->stats.pd_computations += 1;
+              real_t pd = transition_->dynamic_comp(w, w.cur, edge, trial.response);
+              if (trial.y < pd) {
+                scratch->stats.trial_accepts += 1;
+                CommitMove(w, trial.candidate, n, *scratch);
+              } else {
+                scratch->stats.trial_rejects += 1;
+                scratch->stay.push_back(std::move(w));
+              }
+            });
+        MergeScratch(node, n, *scratch, obs::Phase::kResolve);
+        ReleaseScratch(node, std::move(scratch));
       });
-      phase_times_.resolve += phase_timer.Seconds();
-      if (trace != nullptr) {
-        trace->RecordSpan("resolve", 0, 0, span_start, trace->Now() - span_start, superstep_);
-      }
-    }
+      MutexLock lock(node.merge_mutex);
+      // The waiting prefix is the new parked vector, slots unchanged
+      // (phase C resolution commits or stays; it never parks a trial).
+      KK_DCHECK(node.parked.empty());
+      trials.resize(waiting);
+      node.parked.swap(trials);
+      node.stats.Merge(resolve_delta);
+      node.obs.MergeStats(obs::Phase::kResolve, resolve_delta);
+    });
+  }
 
-    // Walker movement: deliver and merge into next iteration's active sets.
-    phase_timer.Restart();
-    if (trace != nullptr) {
-      span_start = trace->Now();
-    }
+  // Walker movement: deliver and merge into next iteration's active sets,
+  // then (under faults) process acks and retransmit timed-out moves.
+  void DeliverWalkers() {
+    const node_rank_t num_nodes = options_.num_nodes;
+    obs::StageTimer phase(options_.trace, "exchange", 0, superstep_, &phase_times_.exchange);
     walker_mail_->Exchange();
     for (node_rank_t n = 0; n < num_nodes; ++n) {
       NodeState& node = *nodes_[n];
@@ -2152,11 +2099,6 @@ class WalkEngine {
       // uncontended and covers next_active/stats/obs for the analysis.
       MutexLock lock(node.merge_mutex);
       auto& inbox = walker_mail_->Inbox(n);
-      if (options_.deterministic) {
-        std::sort(inbox.begin(), inbox.end(), [](const WalkerT& a, const WalkerT& b) {
-          return a.id != b.id ? a.id < b.id : a.step < b.step;
-        });
-      }
       if (!reliable_) {
         node.next_active.insert(node.next_active.end(),
                                 std::make_move_iterator(inbox.begin()),
@@ -2187,12 +2129,6 @@ class WalkEngine {
       inbox.clear();
       node.active = std::move(node.next_active);
       node.next_active.clear();
-      if (options_.deterministic) {
-        // Stay-put walkers were merged in chunk-completion order; sort so
-        // the next iteration's processing order is canonical too.
-        std::sort(node.active.begin(), node.active.end(),
-                  [](const WalkerT& a, const WalkerT& b) { return a.id < b.id; });
-      }
       node.stats.Merge(exchange_delta);
       node.obs.MergeStats(obs::Phase::kExchange, exchange_delta);
     }
@@ -2230,10 +2166,6 @@ class WalkEngine {
         node.stats.Merge(ack_delta);
         node.obs.MergeStats(obs::Phase::kExchange, ack_delta);
       }
-    }
-    phase_times_.exchange += phase_timer.Seconds();
-    if (trace != nullptr) {
-      trace->RecordSpan("exchange", 0, 0, span_start, trace->Now() - span_start, superstep_);
     }
   }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,50 @@ class TraceRecorder {
   // Reset(), which the engine calls before any recording thread exists, so
   // the Restart/Seconds pair is ordered by thread creation, not by mu_.
   Timer epoch_;
+};
+
+// Scoped timer of one stage (an engine phase, a per-node slice of one, or a
+// serving stage). On exit it adds the stage's wall time to *seconds when
+// `seconds` is non-null and, with a recorder attached, records the stage as
+// a span on `lane` (0 = driver, n+1 = logical node n) tagged with
+// `iteration`. With neither it reads no clock.
+class StageTimer {
+ public:
+  StageTimer(TraceRecorder* trace, const char* name, uint32_t lane, uint64_t iteration,
+             double* seconds = nullptr)
+      : trace_(trace),
+        name_(name),
+        lane_(lane),
+        iteration_(iteration),
+        seconds_(seconds),
+        span_start_(trace != nullptr ? trace->Now() : 0.0) {
+    if (seconds_ != nullptr) {
+      timer_.emplace();
+    }
+  }
+  ~StageTimer() {
+    if (seconds_ != nullptr) {
+      *seconds_ += timer_->Seconds();
+    }
+    if (trace_ != nullptr) {
+      trace_->RecordSpan(name_, lane_, 0, span_start_, trace_->Now() - span_start_, iteration_);
+    }
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+  // Retags the span, for a stage that moves the iteration it belongs to
+  // (crash recovery restores an earlier superstep).
+  void set_iteration(uint64_t iteration) { iteration_ = iteration; }
+
+ private:
+  TraceRecorder* trace_;
+  const char* name_;
+  uint32_t lane_;
+  uint64_t iteration_;
+  double* seconds_;
+  double span_start_;
+  std::optional<Timer> timer_;
 };
 
 }  // namespace obs

@@ -386,7 +386,7 @@ class WalkService {
     // Stitch every miss from the index; collect live-fallback cursors.
     std::vector<LiveWalk> live;
     {
-      StageTimer stage(trace, "service.stitch", &stage_seconds_.stitch, batch_number);
+      obs::StageTimer stage(trace, "service.stitch", 0, batch_number, &stage_seconds_.stitch);
       for (size_t wi = 0; wi < work.size(); ++wi) {
         StitchQuery(wi, work[wi], &live, &delta);
       }
@@ -394,18 +394,19 @@ class WalkService {
 
     // One shared engine run finishes every pending walk of the batch.
     {
-      StageTimer stage(trace, "service.run", &stage_seconds_.run, batch_number);
+      obs::StageTimer stage(trace, "service.run", 0, batch_number, &stage_seconds_.run);
       if (!live.empty()) {
         RunLiveWalks(work, live);
       }
     }
     {
-      StageTimer stage(trace, "service.accumulate", &stage_seconds_.accumulate, batch_number);
+      obs::StageTimer stage(trace, "service.accumulate", 0, batch_number,
+                            &stage_seconds_.accumulate);
       AccumulateVisits(live, &work, &delta);
     }
 
     {
-      StageTimer stage(trace, "service.finalize", &stage_seconds_.finalize, batch_number);
+      obs::StageTimer stage(trace, "service.finalize", 0, batch_number, &stage_seconds_.finalize);
       for (QueryWork& w : work) {
         ServiceResult r = Finalize(w);
         if (options_.cache_capacity > 0) {
@@ -550,37 +551,6 @@ class WalkService {
     double run = 0.0;         // the shared live-walk engine Run and path assembly
     double accumulate = 0.0;  // filling each query's logs from segments and live paths
     double finalize = 0.0;    // radix-sort-and-count answers, cache Put
-  };
-
-  // Scoped timer of one serving stage: on exit adds the stage's wall time to
-  // *seconds and, with a trace recorder attached, records it as a span on
-  // the driver lane, tagged with the batch number.
-  class StageTimer {
-   public:
-    StageTimer(obs::TraceRecorder* trace, const char* name, double* seconds,
-               uint64_t batch_number)
-        : trace_(trace),
-          name_(name),
-          seconds_(seconds),
-          batch_number_(batch_number),
-          span_start_(trace != nullptr ? trace->Now() : 0.0) {}
-    ~StageTimer() {
-      *seconds_ += timer_.Seconds();
-      if (trace_ != nullptr) {
-        trace_->RecordSpan(name_, 0, 0, span_start_, trace_->Now() - span_start_,
-                           batch_number_);
-      }
-    }
-    StageTimer(const StageTimer&) = delete;
-    StageTimer& operator=(const StageTimer&) = delete;
-
-   private:
-    obs::TraceRecorder* trace_;
-    const char* name_;
-    double* seconds_;
-    uint64_t batch_number_;
-    double span_start_;
-    Timer timer_;
   };
 
   // One walk that ran out of index segments and needs a live remainder.

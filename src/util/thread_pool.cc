@@ -33,11 +33,11 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::RunChunks(Job& job) {
   for (;;) {
-    size_t begin = job.next.fetch_add(job.chunk_size, std::memory_order_relaxed);
+    size_t begin = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
     if (begin >= job.total) {
       return;
     }
-    size_t end = begin + job.chunk_size;
+    size_t end = begin + job.chunk;
     if (end > job.total) {
       end = job.total;
     }
@@ -46,13 +46,13 @@ void ThreadPool::RunChunks(Job& job) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t total, size_t chunk_size,
+void ThreadPool::ParallelFor(size_t total, size_t chunk,
                              const std::function<void(size_t, size_t)>& fn) {
-  KK_CHECK(chunk_size > 0);
+  KK_CHECK(chunk > 0);
   if (total == 0) {
     return;
   }
-  if (workers_.empty() || total <= chunk_size) {
+  if (workers_.empty() || total <= chunk) {
     // Inline fast path: nothing to coordinate.
     fn(0, total);
     return;
@@ -60,9 +60,9 @@ void ThreadPool::ParallelFor(size_t total, size_t chunk_size,
 
   Job job;
   job.total = total;
-  job.chunk_size = chunk_size;
+  job.chunk = chunk;
   job.fn = &fn;
-  job.num_chunks = (total + chunk_size - 1) / chunk_size;
+  job.num_chunks = (total + chunk - 1) / chunk;
 
   {
     MutexLock lock(mutex_);

@@ -19,7 +19,8 @@
 
 namespace knightking {
 
-// KnightKing's dynamic-scheduling granularity for walkers and messages.
+// KnightKing's dynamic-scheduling granularity for walkers and messages:
+// §6.2 hands out work in chunks of 128, and the engine always uses it.
 inline constexpr size_t kDefaultChunkSize = 128;
 
 // Chunk size for coarse-grained parallel builds over `total` independent rows
@@ -49,7 +50,7 @@ class ThreadPool {
   // Runs fn(begin, end) over chunked sub-ranges of [0, total) across all
   // workers plus the calling thread; returns when every chunk is done.
   // fn must be safe to invoke concurrently on disjoint ranges.
-  void ParallelFor(size_t total, size_t chunk_size,
+  void ParallelFor(size_t total, size_t chunk,
                    const std::function<void(size_t, size_t)>& fn) KK_EXCLUDES(mutex_);
 
   void ParallelFor(size_t total, const std::function<void(size_t, size_t)>& fn) {
@@ -61,7 +62,7 @@ class ThreadPool {
 
   struct Job {
     size_t total = 0;
-    size_t chunk_size = 1;
+    size_t chunk = 1;
     const std::function<void(size_t, size_t)>* fn = nullptr;
     std::atomic<size_t> next{0};
     std::atomic<size_t> done_chunks{0};

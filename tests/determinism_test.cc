@@ -42,13 +42,12 @@ template <typename EdgeData, typename WalkerState, typename QueryResponse,
 std::vector<PathEntry> RunShape(
     const EdgeList<EdgeData>& edges, const ClusterShape& shape,
     const TransitionSpec<EdgeData, WalkerState, QueryResponse>& spec,
-    const WalkerSpecT& walkers, bool deterministic) {
+    const WalkerSpecT& walkers) {
   WalkEngineOptions opts;
   opts.num_nodes = shape.num_nodes;
   opts.workers_per_node = shape.workers;
   opts.collect_paths = true;
   opts.seed = kSeed;
-  opts.deterministic = deterministic;
   WalkEngine<EdgeData, WalkerState, QueryResponse> engine(
       Csr<EdgeData>::FromEdgeList(edges), opts);
   engine.Run(spec, walkers);
@@ -63,16 +62,11 @@ void ExpectIdenticalAcrossShapes(
     const EdgeList<EdgeData>& edges,
     const TransitionSpec<EdgeData, WalkerState, QueryResponse>& spec,
     const WalkerSpecT& walkers) {
-  std::vector<PathEntry> reference =
-      RunShape(edges, kShapes[0], spec, walkers, /*deterministic=*/false);
+  std::vector<PathEntry> reference = RunShape(edges, kShapes[0], spec, walkers);
   ASSERT_FALSE(reference.empty());
   for (const ClusterShape& shape : kShapes) {
-    for (bool deterministic : {false, true}) {
-      std::vector<PathEntry> got = RunShape(edges, shape, spec, walkers, deterministic);
-      EXPECT_EQ(got, reference)
-          << "nodes=" << shape.num_nodes << " workers=" << shape.workers
-          << " deterministic=" << deterministic;
-    }
+    EXPECT_EQ(RunShape(edges, shape, spec, walkers), reference)
+        << "nodes=" << shape.num_nodes << " workers=" << shape.workers;
   }
 }
 
@@ -102,81 +96,51 @@ TEST(DeterminismTest, MetaPathIdenticalAcrossClusterShapes) {
 TEST(DeterminismTest, Node2VecIdenticalAcrossClusterShapes) {
   auto edges = GenerateUniformDegree(300, 8, 104);
   Node2VecParams params{.p = 0.25, .q = 4.0, .walk_length = 15};
-  // The faulted input drops, delays and duplicates messages and routes every
-  // state query through the mailboxes, so parked trials go through
-  // re-issues, duplicate answers and late answers to old slots. Walks must
-  // still match the fault-free reference byte for byte. Which answers count
-  // depends on message content only, never on the slot merge order gave a
-  // trial, so the protocol counters must agree across worker counts and
-  // deterministic on/off for a given cluster size.
+  // The faulted input drops, delays and duplicates messages, so parked
+  // trials go through re-issues, duplicate answers and late answers to old
+  // slots. Walks must still match the fault-free reference byte for byte.
+  // Which answers count depends on message content only, never on the slot
+  // merge order gave a trial, so the protocol counters must agree across
+  // worker counts for a given cluster size.
   using Counters = std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
   std::vector<PathEntry> reference;
   std::map<node_rank_t, Counters> faulted_counters;
   for (bool faulted : {false, true}) {
     for (const ClusterShape& shape : kShapes) {
-      for (bool deterministic : {false, true}) {
-        FaultPolicy policy;
-        policy.drop = 0.1;
-        policy.delay = 0.1;
-        policy.duplicate = 0.1;
-        FaultInjector injector(policy);
-        WalkEngineOptions opts;
-        opts.num_nodes = shape.num_nodes;
-        opts.workers_per_node = shape.workers;
-        opts.collect_paths = true;
-        opts.seed = kSeed;
-        opts.deterministic = deterministic;
-        if (faulted) {
-          opts.fault_injector = &injector;
-          opts.force_remote_queries = true;
-        }
-        WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
-        SamplingStats stats = engine.Run(Node2VecTransition(engine.graph(), params),
-                                         Node2VecWalkers(150, params));
-        std::vector<PathEntry> got = engine.TakePathEntries();
-        if (reference.empty()) {
-          reference = std::move(got);
-          ASSERT_FALSE(reference.empty());
-        } else {
-          EXPECT_EQ(got, reference)
-              << "faulted=" << faulted << " nodes=" << shape.num_nodes
-              << " workers=" << shape.workers << " deterministic=" << deterministic;
-        }
-        if (!faulted || shape.num_nodes == 1) {
-          continue;  // one node has no cross-node traffic to fault
-        }
-        EXPECT_GT(stats.query_retries, 0u) << "fault policy never hit a query";
-        EXPECT_GT(stats.stale_responses, 0u) << "no duplicate or late answer arrived";
-        Counters counters{stats.iterations, stats.query_retries, stats.stale_responses,
-                          stats.walker_retransmits, stats.duplicates_suppressed};
-        auto [it, first] = faulted_counters.emplace(shape.num_nodes, counters);
-        EXPECT_TRUE(first || it->second == counters)
-            << "nodes=" << shape.num_nodes << " workers=" << shape.workers
-            << " deterministic=" << deterministic;
+      FaultPolicy policy;
+      policy.drop = 0.1;
+      policy.delay = 0.1;
+      policy.duplicate = 0.1;
+      FaultInjector injector(policy);
+      WalkEngineOptions opts;
+      opts.num_nodes = shape.num_nodes;
+      opts.workers_per_node = shape.workers;
+      opts.collect_paths = true;
+      opts.seed = kSeed;
+      if (faulted) {
+        opts.fault_injector = &injector;
       }
-    }
-  }
-}
-
-TEST(DeterminismTest, ForceRemoteQueriesDoesNotChangeOutput) {
-  // Routing every node2vec adjacency check through the two-round message
-  // path must not perturb walks: the answer, not the route, feeds the RNG.
-  auto edges = GenerateUniformDegree(200, 8, 105);
-  Node2VecParams params{.p = 2.0, .q = 0.5, .walk_length = 10};
-  std::vector<PathEntry> reference;
-  for (bool force_remote : {false, true}) {
-    WalkEngineOptions opts;
-    opts.num_nodes = 4;
-    opts.collect_paths = true;
-    opts.seed = kSeed;
-    opts.force_remote_queries = force_remote;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
-    engine.Run(Node2VecTransition(engine.graph(), params), Node2VecWalkers(100, params));
-    std::vector<PathEntry> got = engine.TakePathEntries();
-    if (reference.empty()) {
-      reference = std::move(got);
-    } else {
-      EXPECT_EQ(got, reference);
+      WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
+      SamplingStats stats = engine.Run(Node2VecTransition(engine.graph(), params),
+                                       Node2VecWalkers(150, params));
+      std::vector<PathEntry> got = engine.TakePathEntries();
+      if (reference.empty()) {
+        reference = std::move(got);
+        ASSERT_FALSE(reference.empty());
+      } else {
+        EXPECT_EQ(got, reference) << "faulted=" << faulted << " nodes=" << shape.num_nodes
+                                  << " workers=" << shape.workers;
+      }
+      if (!faulted || shape.num_nodes == 1) {
+        continue;  // one node has no cross-node traffic to fault
+      }
+      EXPECT_GT(stats.query_retries, 0u) << "fault policy never hit a query";
+      EXPECT_GT(stats.stale_responses, 0u) << "no duplicate or late answer arrived";
+      Counters counters{stats.iterations, stats.query_retries, stats.stale_responses,
+                        stats.walker_retransmits, stats.duplicates_suppressed};
+      auto [it, first] = faulted_counters.emplace(shape.num_nodes, counters);
+      EXPECT_TRUE(first || it->second == counters)
+          << "nodes=" << shape.num_nodes << " workers=" << shape.workers;
     }
   }
 }

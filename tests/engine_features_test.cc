@@ -162,26 +162,6 @@ TEST(PhaseTimesTest, StaticRunHasNoQueryPhases) {
   EXPECT_EQ(t.resolve, 0.0);
 }
 
-TEST(ChunkSizeTest, ResultsIndependentOfChunkSize) {
-  auto graph = GenerateUniformDegree(500, 8, 7);
-  std::vector<std::vector<std::vector<vertex_id_t>>> results;
-  for (size_t chunk : {1u, 16u, 4096u}) {
-    WalkEngineOptions opts;
-    opts.workers_per_node = 2;
-    opts.chunk_size = chunk;
-    opts.collect_paths = true;
-    opts.seed = 3;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(graph), opts);
-    WalkerSpec<> walkers;
-    walkers.num_walkers = 400;
-    walkers.max_steps = 10;
-    engine.Run(TransitionSpec<EmptyEdgeData>{}, walkers);
-    results.push_back(engine.TakePaths());
-  }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-}
-
 TEST(ItsSamplerKindTest, WeightedWalkMatchesAliasDistribution) {
   auto weighted = AssignUniformWeights(GenerateUniformDegree(60, 8, 8), 1.0f, 5.0f, 2);
   auto csr = Csr<WeightedEdgeData>::FromEdgeList(weighted);
@@ -399,32 +379,6 @@ TEST(PathIoTest, EmptyCorpus) {
   EXPECT_EQ(stats.walks, 0u);
   EXPECT_EQ(stats.min_length, 0u);
   EXPECT_DOUBLE_EQ(stats.mean_length, 0.0);
-}
-
-
-TEST(ForceRemoteQueriesTest, SameResultsMoreMessages) {
-  auto graph = GenerateTruncatedPowerLaw(300, 2.0, 4, 60, 21);
-  Node2VecParams params{.p = 0.5, .q = 2.0, .walk_length = 10};
-  std::vector<std::vector<std::vector<vertex_id_t>>> results;
-  uint64_t local_queries[2] = {};
-  uint64_t remote_queries[2] = {};
-  for (int mode = 0; mode < 2; ++mode) {
-    WalkEngineOptions opts;
-    opts.num_nodes = 2;
-    opts.force_remote_queries = mode == 1;
-    opts.collect_paths = true;
-    opts.seed = 5;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(graph), opts);
-    SamplingStats stats =
-        engine.Run(Node2VecTransition(engine.graph(), params), Node2VecWalkers(200, params));
-    local_queries[mode] = stats.queries_local;
-    remote_queries[mode] = stats.queries_remote;
-    results.push_back(engine.TakePaths());
-  }
-  EXPECT_EQ(results[0], results[1]);  // identical sampling decisions
-  EXPECT_GT(local_queries[0], 0u);    // fast path active by default
-  EXPECT_EQ(local_queries[1], 0u);    // fully disabled under the ablation
-  EXPECT_GT(remote_queries[1], remote_queries[0]);
 }
 
 

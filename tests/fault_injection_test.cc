@@ -69,7 +69,7 @@ template <typename EdgeData, typename WalkerState, typename QueryResponse,
 void ExpectFaultedRunMatchesFaultFree(const EdgeList<EdgeData>& edges,
                                       const SpecFn& make_spec, const WalkerSpecT& walkers,
                                       const FaultPolicy& policy, node_rank_t num_nodes,
-                                      bool force_remote_queries = false) {
+                                      SamplingStats* faulted_stats = nullptr) {
   using EngineT = WalkEngine<EdgeData, WalkerState, QueryResponse>;
   std::vector<PathEntry> reference;
   SamplingStats clean_stats;
@@ -84,7 +84,6 @@ void ExpectFaultedRunMatchesFaultFree(const EdgeList<EdgeData>& edges,
   FaultInjector injector(policy);
   WalkEngineOptions opts = BaseOptions(num_nodes);
   opts.fault_injector = &injector;
-  opts.force_remote_queries = force_remote_queries;
   EngineT engine(Csr<EdgeData>::FromEdgeList(edges), opts);
   SamplingStats stats = engine.Run(make_spec(engine.graph()), walkers);
   std::vector<PathEntry> faulted = engine.TakePathEntries();
@@ -104,6 +103,9 @@ void ExpectFaultedRunMatchesFaultFree(const EdgeList<EdgeData>& edges,
   if (policy.duplicate > 0.0) {
     EXPECT_GT(c.duplicated, 0u) << "duplicate policy never fired; test is vacuous";
     EXPECT_GT(stats.duplicates_suppressed + stats.stale_responses, 0u);
+  }
+  if (faulted_stats != nullptr) {
+    *faulted_stats = stats;
   }
 }
 
@@ -149,10 +151,10 @@ TEST(FaultInjectionTest, Node2VecSurvivesDropAndDelay) {
       Node2VecWalkers(120, params), AcceptancePolicy(), 4);
 }
 
-// Second-order two-round queries under faults on *every* mailbox, with the
-// local-answer fast path disabled so each adjacency check crosses the
-// faulty network twice.
-TEST(FaultInjectionTest, Node2VecForcedRemoteQueriesUnderAllFaultKinds) {
+// Second-order two-round queries under faults on *every* mailbox: each
+// remote adjacency check crosses the faulty network twice, and at least one
+// query must have been re-issued.
+TEST(FaultInjectionTest, Node2VecRemoteQueriesUnderAllFaultKinds) {
   auto edges = GenerateUniformDegree(150, 8, 205);
   Node2VecParams params{.p = 0.25, .q = 4.0, .walk_length = 10};
   FaultPolicy policy;
@@ -160,9 +162,12 @@ TEST(FaultInjectionTest, Node2VecForcedRemoteQueriesUnderAllFaultKinds) {
   policy.delay = 0.08;
   policy.duplicate = 0.08;
   policy.reorder = true;
+  SamplingStats stats;
   ExpectFaultedRunMatchesFaultFree<EmptyEdgeData, EmptyWalkerState, uint8_t>(
       edges, [&](const auto& g) { return Node2VecTransition(g, params); },
-      Node2VecWalkers(100, params), policy, 4, /*force_remote_queries=*/true);
+      Node2VecWalkers(100, params), policy, 4, &stats);
+  EXPECT_GT(stats.queries_remote, 0u);
+  EXPECT_GT(stats.query_retries, 0u) << "no query was re-issued; the faulty query path is idle";
 }
 
 // Sweep the 1%–20% rate range of the issue per fault kind.

@@ -6,9 +6,9 @@
 // is the sort-based reassembly the scatter replaced, kept verbatim: it
 // concatenates the raw node logs, sorts the entries by (walker, step), and
 // appends each vertex to its walker's own vector. Every view must equal it
-// across cluster sizes, worker pools, deterministic mode, message faults
-// (which deliver entries to the node logs out of step order) and
-// early-terminating PPR walks of uneven length.
+// across cluster sizes, worker pools, message faults (which deliver entries
+// to the node logs out of step order) and early-terminating PPR walks of
+// uneven length.
 //
 // The contiguity guard is tested through hand-edited checkpoint path_log
 // sections: a log missing a step or holding one twice must abort assembly.
@@ -123,7 +123,6 @@ struct RunCase {
   const char* name;
   node_rank_t nodes = 1;
   size_t workers = 0;
-  bool deterministic = false;
   bool faults = false;
   bool ppr = false;  // early-terminating PPR instead of fixed-length DeepWalk
 };
@@ -148,7 +147,6 @@ CaseRun RunCaseOnce(const RunCase& c, walker_id_t walkers) {
   WalkEngineOptions opts;
   opts.num_nodes = c.nodes;
   opts.workers_per_node = c.workers;
-  opts.deterministic = c.deterministic;
   opts.collect_paths = true;
   opts.seed = kSeed;
   if (c.faults) {
@@ -173,13 +171,11 @@ const RunCase kCases[] = {
     {"deepwalk_n1_w4", 1, 4},
     {"deepwalk_n4_w0", 4, 0},
     {"deepwalk_n4_w4", 4, 4},
-    {"deepwalk_deterministic", 4, 4, true},
-    {"deepwalk_faults_w0", 4, 0, false, true},
-    {"deepwalk_faults_w4", 4, 4, false, true},
-    {"ppr_n1_w0", 1, 0, false, false, true},
-    {"ppr_n4_w4", 4, 4, false, false, true},
-    {"ppr_deterministic", 4, 4, true, false, true},
-    {"ppr_faults", 4, 4, false, true, true},
+    {"deepwalk_faults_w0", 4, 0, true},
+    {"deepwalk_faults_w4", 4, 4, true},
+    {"ppr_n1_w0", 1, 0, false, true},
+    {"ppr_n4_w4", 4, 4, false, true},
+    {"ppr_faults", 4, 4, true, true},
 };
 
 // Each view empties the log, so every view gets its own (deterministic)
@@ -233,7 +229,7 @@ TEST(PathAssemblyTest, EveryViewEqualsSortedReassembly) {
 // buffers): assembling a smaller run into a buffer that held a larger one
 // must leave nothing of the old contents behind.
 TEST(PathAssemblyTest, ReusedBufferHoldsOnlyTheLatestRun) {
-  const RunCase c{"reuse", 4, 0, false, false, true};
+  const RunCase c{"reuse", 4, 0, false, true};
   FlatPaths flat;
   for (walker_id_t walkers : {kWalkers, walker_id_t{7}, walker_id_t{0}, walker_id_t{40}}) {
     SCOPED_TRACE(walkers);
@@ -297,8 +293,7 @@ TEST(PathAssemblyTest, SavedIndexEqualsReferenceAssembly) {
       {"index_n1_w4", 1, 4},
       {"index_n4_w0", 4, 0},
       {"index_n4_w4", 4, 4},
-      {"index_deterministic", 4, 4, true},
-      {"index_faults", 4, 4, false, true},
+      {"index_faults", 4, 4, true},
   };
   for (const RunCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -311,7 +306,6 @@ TEST(PathAssemblyTest, SavedIndexEqualsReferenceAssembly) {
     sopts.terminate_prob = 0.15;  // many segments end before the cap
     sopts.engine.num_nodes = c.nodes;
     sopts.engine.workers_per_node = c.workers;
-    sopts.engine.deterministic = c.deterministic;
     sopts.engine.fault_injector = c.faults ? &service_faults : nullptr;
 
     WalkService<EmptyEdgeData> service(
