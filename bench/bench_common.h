@@ -7,9 +7,15 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "src/apps/deepwalk.h"
 #include "src/apps/metapath.h"
@@ -79,6 +85,19 @@ inline std::string FormatTime(const RunResult& r) {
     std::snprintf(buf, sizeof(buf), "%9.2f ", r.seconds);
   }
   return buf;
+}
+
+// CPUs this process may run on: its affinity mask on Linux, else the
+// hardware thread count; never less than 1.
+inline size_t UsableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 inline void PrintRule(int width = 78) {

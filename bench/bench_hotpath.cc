@@ -15,14 +15,13 @@
 //   --floor FILE   regression floor file: lines of "<workload> <walks/sec>";
 //                  exit non-zero if measured walks/sec falls more than 2x
 //                  below the floor
-//   --workers N    workers per node ceiling  (default 4; the topology
-//                  schedule may clamp it to the CPU budget)
+//   --workers N    workers per node ceiling  (default 4); the bench lowers
+//                  it, and picks parallel or sequential node drivers, to
+//                  fit the usable CPUs (SizeThreads)
 //   --no-sort      disable the locality batch sort (ablation)
 //   --vertices N   graph size (default 60000, 8000 with --small); the same
 //                  generator at larger N puts the graph past the LLC
 //   --walkers N    walkers per workload (default one per vertex)
-//   --schedule S   worker placement: "topology" (NUMA-aware planning +
-//                  binding, default) or "fixed" (honor --workers exactly)
 //   --metrics-out FILE  write a kk-metrics snapshot (engine ExportMetrics,
 //                       one label set per workload) alongside the bench JSON
 //   --trace FILE   record per-phase spans and write chrome://tracing JSON
@@ -38,18 +37,20 @@
 #include "bench/bench_common.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
+#include "src/util/cache_geometry.h"
 
 namespace knightking {
 namespace bench {
 namespace {
 
+constexpr node_rank_t kHotpathNodes = 4;
+
 struct HotpathConfig {
   bool small = false;
   bool sort_batches = true;
-  size_t workers_per_node = 4;
+  size_t workers_per_node = 4;  // ceiling; see SizeThreads
   vertex_id_t vertices = 0;  // 0 = size default
   walker_id_t walkers = 0;   // 0 = one per vertex
-  WorkerSchedule schedule = WorkerSchedule::kTopology;
   std::string out_path = "BENCH_hotpath.json";
   std::string floor_path;
   std::string metrics_path;
@@ -62,6 +63,7 @@ struct WorkloadResult {
   std::string name;
   walker_id_t walkers = 0;
   double seconds = 0.0;
+  double spec_build_seconds = 0.0;  // transition construction, inside `seconds`
   double walks_per_sec = 0.0;
   double steps_per_sec = 0.0;
   SamplingStats stats;
@@ -69,17 +71,39 @@ struct WorkloadResult {
   uint64_t cross_node_messages = 0;
   uint64_t cross_node_bytes = 0;
   CheckpointStats ckpt;
-  size_t effective_workers = 0;
   uint64_t batch_sorts = 0;  // locality passes taken (zero under -DKK_OBS=OFF)
 };
 
-WalkEngineOptions HotpathOptions(const HotpathConfig& config) {
+// Threads the bench asks the engine for, sized so it never starts more
+// runnable threads than the process has CPUs.
+struct ThreadBudget {
+  size_t usable_cpus = 1;
+  bool parallel_nodes = false;
+  size_t workers_per_node = 0;
+};
+
+ThreadBudget SizeThreads(size_t requested_workers) {
+  ThreadBudget budget;
+  budget.usable_cpus = UsableCpus();
+  if (budget.usable_cpus <= 1) {
+    return budget;  // one CPU: every thread past the caller only adds switches
+  }
+  // Parallel drivers each take one CPU of their node's quarter and leave the
+  // rest to its workers; a sequential driver leaves all but one CPU to them.
+  budget.parallel_nodes = budget.usable_cpus >= kHotpathNodes;
+  budget.workers_per_node =
+      std::min(requested_workers, budget.parallel_nodes
+                                      ? budget.usable_cpus / kHotpathNodes - 1
+                                      : budget.usable_cpus - 1);
+  return budget;
+}
+
+WalkEngineOptions HotpathOptions(const HotpathConfig& config, const ThreadBudget& budget) {
   WalkEngineOptions opts;
-  opts.num_nodes = 4;
-  opts.workers_per_node = config.workers_per_node;
-  opts.parallel_nodes = true;
+  opts.num_nodes = kHotpathNodes;
+  opts.workers_per_node = budget.workers_per_node;
+  opts.parallel_nodes = budget.parallel_nodes;
   opts.seed = kRunSeed;
-  opts.worker_schedule = config.schedule;
   if (!config.sort_batches) {
     opts.sort_batches = BatchSortMode::kNever;
   }
@@ -92,17 +116,19 @@ WalkEngineOptions HotpathOptions(const HotpathConfig& config) {
 
 template <typename MakeSpec, typename Walkers>
 WorkloadResult RunWorkload(const std::string& name, const EdgeList<EmptyEdgeData>& edges,
-                           const HotpathConfig& config, const MakeSpec& make_spec,
-                           const Walkers& walkers, obs::MetricsRegistry* metrics,
-                           obs::TraceRecorder* trace) {
-  WalkEngineOptions opts = HotpathOptions(config);
+                           const HotpathConfig& config, const ThreadBudget& budget,
+                           const MakeSpec& make_spec, const Walkers& walkers,
+                           obs::MetricsRegistry* metrics, obs::TraceRecorder* trace) {
+  WalkEngineOptions opts = HotpathOptions(config, budget);
   opts.trace = trace;
   WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
   WorkloadResult result;
   result.name = name;
   result.walkers = walkers.num_walkers;
   Timer timer;
-  result.stats = engine.Run(make_spec(engine.graph()), walkers);
+  const auto spec = make_spec(engine.graph());
+  result.spec_build_seconds = timer.Seconds();
+  result.stats = engine.Run(spec, walkers);
   result.seconds = timer.Seconds();
   result.walks_per_sec = static_cast<double>(walkers.num_walkers) / result.seconds;
   result.steps_per_sec = static_cast<double>(result.stats.steps) / result.seconds;
@@ -110,7 +136,6 @@ WorkloadResult RunWorkload(const std::string& name, const EdgeList<EmptyEdgeData
   result.cross_node_messages = engine.cross_node_messages();
   result.cross_node_bytes = engine.cross_node_bytes();
   result.ckpt = engine.checkpoint_stats();
-  result.effective_workers = engine.effective_workers_per_node();
   for (node_rank_t n = 0; n < opts.num_nodes; ++n) {
     result.batch_sorts += engine.node_observability(n).batch_sorts;
   }
@@ -131,8 +156,10 @@ void WriteTextFile(const std::string& path, const std::string& contents, const c
   std::printf("wrote %s (%s)\n", path.c_str(), what);
 }
 
-void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& results,
-               vertex_id_t num_vertices, edge_index_t num_edges) {
+void WriteJson(const HotpathConfig& config, const ThreadBudget& budget,
+               const std::vector<WorkloadResult>& results, vertex_id_t num_vertices,
+               edge_index_t num_edges) {
+  const CacheGeometry cache = CacheGeometry::Detect();
   std::FILE* f = std::fopen(config.out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_hotpath: cannot open %s for writing\n",
@@ -145,10 +172,13 @@ void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& r
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"small\": %s,\n", config.small ? "true" : "false");
   std::fprintf(f, "    \"sort_batches\": %s,\n", config.sort_batches ? "true" : "false");
-  std::fprintf(f, "    \"worker_schedule\": \"%s\",\n",
-               config.schedule == WorkerSchedule::kTopology ? "topology" : "fixed");
-  std::fprintf(f, "    \"num_nodes\": 4,\n");
+  std::fprintf(f, "    \"num_nodes\": %u,\n", static_cast<unsigned>(kHotpathNodes));
   std::fprintf(f, "    \"workers_per_node\": %zu,\n", config.workers_per_node);
+  std::fprintf(f, "    \"usable_cpus\": %zu,\n", budget.usable_cpus);
+  std::fprintf(f, "    \"parallel_nodes\": %s,\n", budget.parallel_nodes ? "true" : "false");
+  std::fprintf(f, "    \"l1d_bytes\": %llu,\n", static_cast<unsigned long long>(cache.l1d_bytes));
+  std::fprintf(f, "    \"l2_bytes\": %llu,\n", static_cast<unsigned long long>(cache.l2_bytes));
+  std::fprintf(f, "    \"llc_bytes\": %llu,\n", static_cast<unsigned long long>(cache.llc_bytes));
   std::fprintf(f, "    \"checkpoint_every\": %llu,\n",
                static_cast<unsigned long long>(config.checkpoint_every));
   std::fprintf(f, "    \"graph_vertices\": %llu,\n",
@@ -169,6 +199,9 @@ void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& r
                  static_cast<unsigned long long>(r.stats.iterations));
     std::fprintf(f, "      \"edges_per_step\": %.4f,\n", r.stats.EdgesPerStep());
     std::fprintf(f, "      \"phase_seconds\": {\n");
+    std::fprintf(f, "        \"spec_build_s\": %.6f,\n", r.spec_build_seconds);
+    std::fprintf(f, "        \"prepare\": %.6f,\n", r.phases.prepare);
+    std::fprintf(f, "        \"deploy\": %.6f,\n", r.phases.deploy);
     std::fprintf(f, "        \"sample\": %.6f,\n", r.phases.sample);
     std::fprintf(f, "        \"respond\": %.6f,\n", r.phases.respond);
     std::fprintf(f, "        \"resolve\": %.6f,\n", r.phases.resolve);
@@ -184,7 +217,7 @@ void WriteJson(const HotpathConfig& config, const std::vector<WorkloadResult>& r
                  static_cast<unsigned long long>(r.ckpt.checkpoint_bytes));
     std::fprintf(f, "      \"checkpoint_micros\": %llu,\n",
                  static_cast<unsigned long long>(r.ckpt.checkpoint_micros));
-    std::fprintf(f, "      \"effective_workers\": %zu,\n", r.effective_workers);
+    std::fprintf(f, "      \"effective_workers\": %zu,\n", budget.workers_per_node);
     std::fprintf(f, "      \"batch_sorts\": %llu\n",
                  static_cast<unsigned long long>(r.batch_sorts));
     std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
@@ -256,16 +289,6 @@ int Main(int argc, char** argv) {
       config.vertices = static_cast<vertex_id_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--walkers") == 0 && i + 1 < argc) {
       config.walkers = static_cast<walker_id_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--schedule") == 0 && i + 1 < argc) {
-      const char* sched = argv[++i];
-      if (std::strcmp(sched, "topology") == 0) {
-        config.schedule = WorkerSchedule::kTopology;
-      } else if (std::strcmp(sched, "fixed") == 0) {
-        config.schedule = WorkerSchedule::kFixed;
-      } else {
-        std::fprintf(stderr, "bench_hotpath: --schedule must be topology or fixed\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       config.metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -278,7 +301,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_hotpath [--small] [--out FILE] [--floor FILE] "
                    "[--workers N] [--no-sort] [--vertices N] [--walkers N] "
-                   "[--schedule topology|fixed] "
                    "[--metrics-out FILE] [--trace FILE] "
                    "[--checkpoint-every N] [--checkpoint-path FILE]\n");
       return 2;
@@ -294,11 +316,14 @@ int Main(int argc, char** argv) {
   auto edges = GenerateTruncatedPowerLaw(num_vertices, 2.0, 4, 100, kGraphSeed);
   auto num_edges = static_cast<edge_index_t>(edges.edges.size());
 
+  const ThreadBudget budget = SizeThreads(config.workers_per_node);
+
   std::printf("hotpath baseline: %llu vertices, %llu directed edges, %llu walkers, "
-              "%zu workers/node%s\n",
+              "%zu workers/node, %s node drivers, %zu usable CPUs%s\n",
               static_cast<unsigned long long>(num_vertices),
               static_cast<unsigned long long>(num_edges),
-              static_cast<unsigned long long>(num_walkers), config.workers_per_node,
+              static_cast<unsigned long long>(num_walkers), budget.workers_per_node,
+              budget.parallel_nodes ? "parallel" : "sequential", budget.usable_cpus,
               config.small ? " [small]" : "");
   PrintRule();
 
@@ -310,13 +335,13 @@ int Main(int argc, char** argv) {
 
   Node2VecParams n2v{.p = 0.5, .q = 2.0, .walk_length = 80};
   results.push_back(RunWorkload(
-      "node2vec", edges, config,
+      "node2vec", edges, config, budget,
       [&n2v](const auto& g) { return Node2VecTransition(g, n2v); },
       Node2VecWalkers(num_walkers, n2v), metrics_ptr, trace_ptr));
 
   PprParams ppr;
   results.push_back(RunWorkload(
-      "ppr", edges, config, [](const auto&) { return PprTransition<EmptyEdgeData>(); },
+      "ppr", edges, config, budget, [](const auto&) { return PprTransition<EmptyEdgeData>(); },
       PprWalkers(num_walkers, ppr), metrics_ptr, trace_ptr));
 
   std::printf("%10s %10s %14s %14s %12s %14s\n", "workload", "time(s)", "walks/sec",
@@ -328,7 +353,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.cross_node_bytes));
   }
 
-  WriteJson(config, results, num_vertices, num_edges);
+  WriteJson(config, budget, results, num_vertices, num_edges);
   if (metrics_ptr != nullptr) {
     WriteTextFile(config.metrics_path, metrics.ToJson(), "metrics snapshot");
   }

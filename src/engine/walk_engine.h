@@ -58,7 +58,6 @@
 #include "src/util/check.h"
 #include "src/util/logging.h"
 #include "src/util/mutex.h"
-#include "src/util/numa.h"
 #include "src/util/rng.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
@@ -99,17 +98,9 @@ enum class BatchSortMode {
   kNever = 2,   // arrival order (pre-overhaul behaviour)
 };
 
-// How worker pools are sized and placed.
+// Unread; see WalkEngineOptions::worker_schedule.
 enum class WorkerSchedule {
-  // Honor workers_per_node / parallel_nodes exactly and leave threads
-  // unbound. Tests use this: thread counts are part of the test matrix.
   kFixed = 0,
-  // Plan pools from the machine's CPU/NUMA topology (src/util/numa.h):
-  // clamp worker counts to the CPU budget, give each logical node a
-  // NUMA-compact CPU slice, and bind its driver + pool workers to it so
-  // first-touch allocation lands the node's batch buffers on its own memory
-  // node. Falls back gracefully on single-CPU or non-NUMA machines.
-  kTopology = 1,
 };
 
 struct WalkEngineOptions {
@@ -145,7 +136,11 @@ struct WalkEngineOptions {
   // fit the cache share, and never below kMinSortBatch walkers — see
   // ShouldSortBatch.
   BatchSortMode sort_batches = BatchSortMode::kAuto;
-  // Worker-pool sizing/placement policy (see WorkerSchedule).
+  // Unread: the engine starts exactly workers_per_node pool threads per node
+  // and, with parallel_nodes, num_nodes - 1 driver threads, none of them
+  // bound to a CPU. The field and its single value remain only because
+  // kkbench/bench.h still assigns it; both go with the next change to
+  // kkbench.
   WorkerSchedule worker_schedule = WorkerSchedule::kFixed;
   // Trace recording (runtime toggle; see src/obs/trace.h). When non-null the
   // engine records one span per BSP phase per iteration at the driver level
@@ -194,6 +189,8 @@ struct WalkEngineOptions {
 // driver. With parallel_nodes the per-phase figure is the barrier-to-
 // barrier wall time across all nodes.
 struct EnginePhaseTimes {
+  double prepare = 0.0;   // static sampler, Pd envelopes, per-node reset
+  double deploy = 0.0;    // placing walkers on their start vertices
   double sample = 0.0;    // phase A: trials + lockstep walking
   double respond = 0.0;   // phase B: answering walker-to-vertex queries
   double resolve = 0.0;   // phase C: resolving parked trials
@@ -270,50 +267,23 @@ class WalkEngine {
       degrees[v] = graph_.OutDegree(v);
     }
     partition_ = Partition::FromDegrees(degrees, options_.num_nodes);
-    effective_workers_ = options_.workers_per_node;
-    effective_parallel_nodes_ = options_.parallel_nodes;
-    std::vector<std::vector<int>> node_cpus(options_.num_nodes);
-    std::vector<int> driver_cpus;
-    if (options_.worker_schedule == WorkerSchedule::kTopology) {
-      WorkerPlan plan = PlanWorkers(NumaTopology::Detect(), options_.num_nodes,
-                                    options_.workers_per_node, options_.parallel_nodes);
-      effective_workers_ = plan.workers_per_node;
-      effective_parallel_nodes_ = plan.parallel_nodes && options_.num_nodes > 1;
-      node_cpus = std::move(plan.node_cpus);
-      driver_cpus = std::move(plan.driver_cpus);
-    }
     nodes_.resize(options_.num_nodes);
     for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
       nodes_[n] = std::make_unique<NodeState>();
-      if (effective_workers_ > 0) {
-        // Workers bind to the node's CPU slice past its driver's CPU
-        // (slice[0]); an empty slice leaves them unbound.
-        std::vector<int> worker_cpus;
-        if (node_cpus[n].size() > 1) {
-          worker_cpus.assign(node_cpus[n].begin() + 1, node_cpus[n].end());
-        }
-        nodes_[n]->pool =
-            std::make_unique<ThreadPool>(effective_workers_, std::move(worker_cpus));
+      if (options_.workers_per_node > 0) {
+        nodes_[n]->pool = std::make_unique<ThreadPool>(options_.workers_per_node);
       }
     }
-    if (effective_parallel_nodes_ && options_.num_nodes > 1) {
+    if (options_.parallel_nodes && options_.num_nodes > 1) {
       // Persistent node-driver pool: the calling thread drives one node and
-      // these workers drive the rest (see ForEachNode). Under the topology
-      // schedule each driver worker binds to its node's slice head, so the
-      // node's arenas are first-touched NUMA-locally.
-      driver_pool_ =
-          std::make_unique<ThreadPool>(options_.num_nodes - 1, std::move(driver_cpus));
+      // these workers drive the rest (see ForEachNode).
+      driver_pool_ = std::make_unique<ThreadPool>(options_.num_nodes - 1);
     }
   }
 
   const Csr<EdgeData>& graph() const { return graph_; }
   const Partition& partition() const { return partition_; }
   const WalkEngineOptions& options() const { return options_; }
-
-  // Worker configuration after WorkerSchedule planning (== the requested
-  // options under kFixed).
-  size_t effective_workers_per_node() const { return effective_workers_; }
-  bool effective_parallel_nodes() const { return effective_parallel_nodes_; }
 
   // Reseeds subsequent Runs (multi-round deployments: §1's "repeated for
   // multiple rounds" run R rounds with distinct seeds over one engine).
@@ -397,11 +367,11 @@ class WalkEngine {
       }
     }
     {
-      obs::StageTimer span(trace, "prepare", 0, 0);
+      obs::StageTimer span(trace, "prepare", 0, 0, &phase_times_.prepare);
       Prepare();
     }
     {
-      obs::StageTimer span(trace, "deploy", 0, 0);
+      obs::StageTimer span(trace, "deploy", 0, 0, &phase_times_.deploy);
       DeployWalkers();
     }
 
@@ -801,6 +771,8 @@ class WalkEngine {
     out.AddCounter("engine.checkpoint_micros", with({}), ckpt_stats_.checkpoint_micros,
                    /*stable=*/false);
     out.AddCounter("engine.recoveries", with({}), ckpt_stats_.recoveries);
+    out.SetGauge("engine.phase_seconds", with({{"phase", "prepare"}}), phase_times_.prepare);
+    out.SetGauge("engine.phase_seconds", with({{"phase", "deploy"}}), phase_times_.deploy);
     out.SetGauge("engine.phase_seconds", with({{"phase", "sample"}}), phase_times_.sample);
     out.SetGauge("engine.phase_seconds", with({{"phase", "respond"}}), phase_times_.respond);
     out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
@@ -808,7 +780,7 @@ class WalkEngine {
     if (obs::kObsEnabled) {
       // Scratch-pool reuse depends on worker-pool scheduling, so it is only
       // a stable (run-to-run comparable) metric when chunks run inline.
-      const bool scratch_stable = effective_workers_ == 0;
+      const bool scratch_stable = options_.workers_per_node == 0;
       for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
         MutexLock node_lock(nodes_[n]->merge_mutex);  // post-Run, uncontended
         const obs::PhaseAccumulator& acc = nodes_[n]->obs;
@@ -2178,9 +2150,6 @@ class WalkEngine {
   // Average static row footprint, rebuilt with the static state (kAuto
   // heuristic; see EstimatedBatchTouchedBytes).
   uint64_t bytes_per_vertex_ = 1;
-  // Worker configuration after WorkerSchedule planning.
-  size_t effective_workers_ = 0;
-  bool effective_parallel_nodes_ = false;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   // Persistent driver pool for parallel_nodes mode (null otherwise).
   std::unique_ptr<ThreadPool> driver_pool_;

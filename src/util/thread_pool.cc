@@ -1,22 +1,13 @@
 #include "src/util/thread_pool.h"
 
-#include <utility>
-
 #include "src/util/check.h"
-#include "src/util/numa.h"
 
 namespace knightking {
 
-ThreadPool::ThreadPool(size_t num_workers, std::vector<int> bind_cpus)
-    : bind_cpus_(std::move(bind_cpus)) {
+ThreadPool::ThreadPool(size_t num_workers) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] {
-      if (!bind_cpus_.empty()) {
-        BindCurrentThreadToCpu(bind_cpus_[i % bind_cpus_.size()]);
-      }
-      WorkerLoop();
-    });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

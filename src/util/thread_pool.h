@@ -35,11 +35,7 @@ class ThreadPool {
  public:
   // Creates `num_workers` persistent threads. 0 means "run inline on the
   // caller" (no threads spawned); this is light mode's degenerate pool.
-  //
-  // `bind_cpus`, when non-empty, pins worker i to bind_cpus[i % size] at
-  // startup (see src/util/numa.h). Binding is advisory: a failed pin leaves
-  // the worker unbound rather than failing pool construction.
-  explicit ThreadPool(size_t num_workers, std::vector<int> bind_cpus = {});
+  explicit ThreadPool(size_t num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -79,7 +75,6 @@ class ThreadPool {
   // The one sanctioned home for std::thread: kk-lint KK010 bans raw threads
   // everywhere else so all parallelism flows through this pool.
   std::vector<std::thread> workers_;
-  std::vector<int> bind_cpus_;
   Mutex mutex_;
   CondVar work_ready_;
   CondVar work_done_;

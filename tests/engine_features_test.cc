@@ -142,6 +142,8 @@ TEST(PhaseTimesTest, SecondOrderRunPopulatesAllPhases) {
   Node2VecParams params{.p = 0.5, .q = 2.0, .walk_length = 20};
   engine.Run(Node2VecTransition(engine.graph(), params), Node2VecWalkers(300, params));
   const EnginePhaseTimes& t = engine.phase_times();
+  EXPECT_GT(t.prepare, 0.0);
+  EXPECT_GT(t.deploy, 0.0);
   EXPECT_GT(t.sample, 0.0);
   EXPECT_GT(t.respond, 0.0);
   EXPECT_GT(t.resolve, 0.0);

@@ -1,6 +1,5 @@
-// Tests for the cache-locality layer: cache-geometry detection, NUMA
-// topology planning, the neighbor-existence index, and the topology worker
-// schedule's output contract.
+// Tests for the cache-locality layer: cache-geometry detection and the
+// neighbor-existence index.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -8,14 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/node2vec.h"
-#include "src/engine/walk_engine.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/graph/neighbor_index.h"
 #include "src/util/cache_geometry.h"
-#include "src/util/numa.h"
-#include "tests/test_util.h"
 
 namespace knightking {
 namespace {
@@ -102,98 +97,50 @@ TEST(CacheGeometryTest, MalformedSizeFallsBackWholesale) {
   EXPECT_EQ(geo.l2_bytes, kFallbackL2Bytes);
 }
 
-TEST(NumaTopologyTest, FallbackIsOneDomainOfAvailableCpus) {
-  NumaTopology topo = NumaTopology::Fallback();
-  EXPECT_FALSE(topo.detected);
-  ASSERT_EQ(topo.num_domains(), 1u);
-  EXPECT_EQ(topo.total_cpus(), AvailableCpus().size());
-}
-
-TEST(NumaTopologyTest, MissingNodeTreeFallsBack) {
-  NumaTopology topo = NumaTopology::Detect(testing::TempDir() + "/no_such_node_tree");
-  EXPECT_FALSE(topo.detected);
-  EXPECT_EQ(topo.num_domains(), 1u);
-}
-
-NumaTopology MakeTopology(std::vector<std::vector<int>> domains) {
-  NumaTopology topo;
-  topo.domain_cpus = std::move(domains);
-  topo.detected = true;
-  return topo;
-}
-
-TEST(WorkerPlanTest, SingleCpuRunsEverythingInline) {
-  WorkerPlan plan = PlanWorkers(MakeTopology({{0}}), 4, 8, true);
-  EXPECT_FALSE(plan.parallel_nodes);
-  EXPECT_EQ(plan.workers_per_node, 0u);
-  EXPECT_TRUE(plan.driver_cpus.empty());
-}
-
-TEST(WorkerPlanTest, TwoDomainsSplitContiguouslyAmongNodes) {
-  // 2 domains x 4 CPUs, 4 logical nodes: nodes round-robin over domains and
-  // each gets a 2-CPU slice (1 driver + 1 pool worker).
-  WorkerPlan plan =
-      PlanWorkers(MakeTopology({{0, 1, 2, 3}, {4, 5, 6, 7}}), 4, 8, true);
-  EXPECT_TRUE(plan.parallel_nodes);
-  EXPECT_EQ(plan.workers_per_node, 1u);
-  ASSERT_EQ(plan.node_cpus.size(), 4u);
-  for (const auto& slice : plan.node_cpus) {
-    EXPECT_EQ(slice.size(), 2u);
-  }
-  // Nodes 0/2 land in domain 0, nodes 1/3 in domain 1.
-  EXPECT_EQ(plan.node_cpus[0][0], 0);
-  EXPECT_EQ(plan.node_cpus[1][0], 4);
-  EXPECT_EQ(plan.driver_cpus.size(), 3u);  // one phase driver per extra node
-}
-
-TEST(WorkerPlanTest, WorkerRequestIsACeilingNotAFloor) {
-  WorkerPlan plan = PlanWorkers(MakeTopology({{0, 1, 2, 3, 4, 5, 6, 7}}), 2, 1, true);
-  EXPECT_TRUE(plan.parallel_nodes);
-  EXPECT_EQ(plan.workers_per_node, 1u);  // clamped to the request, not the slice
-}
-
-TEST(NeighborIndexTest, MatchesCsrExactly) {
-  auto edges = GenerateTruncatedPowerLaw(400, 2.0, 4, 60, 17);
-  auto graph = Csr<EmptyEdgeData>::FromEdgeList(edges);
+// Every real edge is present, and probing each vertex against a fixed stride
+// of candidate targets (all of them from `hub`) exercises plenty of misses.
+void ExpectIndexMatchesCsr(const Csr<EmptyEdgeData>& graph, vertex_id_t stride,
+                           vertex_id_t hub) {
   NeighborIndex index = NeighborIndex::Build(graph);
-  // Every real edge is present; probing each vertex against a fixed stride of
-  // candidate targets exercises plenty of misses too.
   for (vertex_id_t v = 0; v < graph.num_vertices(); ++v) {
     for (const auto& e : graph.Neighbors(v)) {
-      EXPECT_TRUE(index.Contains(v, e.neighbor));
+      ASSERT_TRUE(index.Contains(v, e.neighbor)) << "v=" << v << " dst=" << e.neighbor;
     }
-    for (vertex_id_t dst = 0; dst < graph.num_vertices(); dst += 7) {
-      EXPECT_EQ(index.Contains(v, dst), graph.HasNeighbor(v, dst))
+    const vertex_id_t step = v == hub ? 1 : stride;
+    for (vertex_id_t dst = 0; dst < graph.num_vertices(); dst += step) {
+      ASSERT_EQ(index.Contains(v, dst), graph.HasNeighbor(v, dst))
           << "v=" << v << " dst=" << dst;
     }
   }
   EXPECT_GT(index.MemoryBytes(), 0u);
 }
 
-TEST(TopologyScheduleTest, SameWalksAsFixedSchedule) {
-  // The topology schedule only re-plans thread counts and binding; walk
-  // output must match the fixed inline schedule byte for byte, and the
-  // engine must report a usable effective configuration.
-  auto edges = GenerateTruncatedPowerLaw(400, 2.0, 4, 60, 19);
-  Node2VecParams params{.p = 0.5, .q = 2.0, .walk_length = 10};
-  std::vector<std::vector<std::vector<vertex_id_t>>> results;
-  for (WorkerSchedule schedule : {WorkerSchedule::kFixed, WorkerSchedule::kTopology}) {
-    WalkEngineOptions opts;
-    opts.num_nodes = 4;
-    opts.worker_schedule = schedule;
-    if (schedule == WorkerSchedule::kTopology) {
-      opts.workers_per_node = 4;  // ceiling; the planner may clamp to 0
-      opts.parallel_nodes = true;
+vertex_id_t MaxDegreeVertex(const Csr<EmptyEdgeData>& graph) {
+  vertex_id_t hub = 0;
+  for (vertex_id_t v = 1; v < graph.num_vertices(); ++v) {
+    if (graph.OutDegree(v) > graph.OutDegree(hub)) {
+      hub = v;
     }
-    opts.collect_paths = true;
-    opts.seed = 23;
-    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
-    engine.Run(Node2VecTransition(engine.graph(), params), Node2VecWalkers(300, params));
-    EXPECT_LE(engine.effective_workers_per_node(),
-              schedule == WorkerSchedule::kTopology ? 4u : 0u);
-    results.push_back(engine.TakePaths());
   }
-  EXPECT_EQ(results[0], results[1]);
+  return hub;
+}
+
+TEST(NeighborIndexTest, MatchesCsrExactly) {
+  auto small = Csr<EmptyEdgeData>::FromEdgeList(GenerateTruncatedPowerLaw(400, 2.0, 4, 60, 17));
+  ExpectIndexMatchesCsr(small, 7, MaxDegreeVertex(small));
+
+  // Hub rows put thousands of keys with one source into the table, the
+  // longest linear-probe chains node2vec meets on skewed graphs.
+  auto star = Csr<EmptyEdgeData>::FromEdgeList(GenerateHotspot(6000, 4, 1, 5000, 23));
+  const vertex_id_t star_hub = MaxDegreeVertex(star);
+  ASSERT_GE(star.OutDegree(star_hub), 4096u);
+  ExpectIndexMatchesCsr(star, 61, star_hub);
+
+  auto skewed =
+      Csr<EmptyEdgeData>::FromEdgeList(GenerateTruncatedPowerLaw(20000, 2.0, 4, 10000, 29));
+  const vertex_id_t skewed_hub = MaxDegreeVertex(skewed);
+  ASSERT_GE(skewed.OutDegree(skewed_hub), 1000u);
+  ExpectIndexMatchesCsr(skewed, 997, skewed_hub);
 }
 
 }  // namespace

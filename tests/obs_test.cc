@@ -191,20 +191,22 @@ TEST(MetricsCheckerTest, ValidatesHotpathBenchReports) {
 }
 
 TEST(MetricsCheckerTest, ValidatesHotpathLocalityFields) {
-  // Locality-era reports carry the worker schedule and the locality/worker
-  // counters; all optional (older reports lack them), enum strings
-  // restricted, numbers type-checked.
+  // Locality-era reports carry the machine (usable CPUs, cache sizes), the
+  // setup phases and the locality/worker counters; all optional (older
+  // reports lack them), numbers type-checked.
   const std::string valid = R"({
     "schema_version": 1,
     "bench": "hotpath",
     "config": {"small": true, "sort_batches": true, "num_nodes": 4,
                "workers_per_node": 0, "graph_vertices": 100, "graph_edges": 400,
-               "worker_schedule": "topology"},
+               "usable_cpus": 4, "parallel_nodes": true, "l1d_bytes": 49152,
+               "l2_bytes": 2097152, "llc_bytes": 314572800},
     "workloads": [{
       "name": "node2vec", "walkers": 100, "seconds": 0.5, "walks_per_sec": 200.0,
       "steps_per_sec": 1000.0, "steps": 500, "iterations": 30,
       "edges_per_step": 1.5,
-      "phase_seconds": {"sample": 0.1, "respond": 0.0, "resolve": 0.0,
+      "phase_seconds": {"spec_build_s": 0.01, "prepare": 0.02, "deploy": 0.01,
+                        "sample": 0.1, "respond": 0.0, "resolve": 0.0,
                         "exchange": 0.2},
       "cross_node_messages": 10, "cross_node_bytes": 640,
       "effective_workers": 0, "batch_sorts": 120
@@ -213,13 +215,13 @@ TEST(MetricsCheckerTest, ValidatesHotpathLocalityFields) {
   metrics::CheckResult r = metrics::CheckJsonText(valid);
   EXPECT_TRUE(r.ok) << r.error;
 
-  std::string bad_schedule = valid;
-  size_t pos = bad_schedule.find("\"topology\"");
+  std::string bad_cpus = valid;
+  size_t pos = bad_cpus.find("\"usable_cpus\": 4");
   ASSERT_NE(pos, std::string::npos);
-  bad_schedule.replace(pos, std::string("\"topology\"").size(), "\"diagonal\"");
-  metrics::CheckResult r_schedule = metrics::CheckJsonText(bad_schedule);
-  EXPECT_FALSE(r_schedule.ok);
-  EXPECT_NE(r_schedule.error.find("worker_schedule"), std::string::npos) << r_schedule.error;
+  bad_cpus.replace(pos, std::string("\"usable_cpus\": 4").size(), "\"usable_cpus\": \"four\"");
+  metrics::CheckResult r_cpus = metrics::CheckJsonText(bad_cpus);
+  EXPECT_FALSE(r_cpus.ok);
+  EXPECT_NE(r_cpus.error.find("usable_cpus"), std::string::npos) << r_cpus.error;
 
   std::string bad_counter = valid;
   pos = bad_counter.find("\"batch_sorts\": 120");

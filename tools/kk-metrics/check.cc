@@ -55,38 +55,6 @@ bool RequireBool(const JsonValue& obj, const char* key, CheckResult* r,
   return true;
 }
 
-// Same post-format-shipped contract as OptionalNumber, for string fields.
-bool OptionalString(const JsonValue& obj, const char* key, CheckResult* r,
-                    const std::string& where) {
-  const JsonValue* v = obj.Find(key);
-  if (v != nullptr && !v->IsString()) {
-    Fail(r, where + ": field \"" + key + "\" must be a string when present");
-    return false;
-  }
-  return true;
-}
-
-// Optional enum-valued string: absent is fine, present must be one of
-// `allowed`.
-bool OptionalEnum(const JsonValue& obj, const char* key,
-                  const std::vector<std::string>& allowed, CheckResult* r,
-                  const std::string& where) {
-  if (!OptionalString(obj, key, r, where)) {
-    return false;
-  }
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  for (const std::string& a : allowed) {
-    if (v->AsString() == a) {
-      return true;
-    }
-  }
-  Fail(r, where + ": field \"" + key + "\" has unknown value \"" + v->AsString() + "\"");
-  return false;
-}
-
 bool RequireString(const JsonValue& obj, const char* key, CheckResult* r,
                    const std::string& where) {
   const JsonValue* v = obj.Find(key);
@@ -166,9 +134,13 @@ void CheckHotpath(const JsonValue& doc, CheckResult* r) {
       !RequireNumber(*config, "workers_per_node", r, "config") ||
       !RequireNumber(*config, "graph_vertices", r, "config") ||
       !RequireNumber(*config, "graph_edges", r, "config") ||
-      !OptionalNumber(*config, "checkpoint_every", r, "config") ||
-      !OptionalEnum(*config, "worker_schedule", {"topology", "fixed"}, r, "config")) {
+      !OptionalNumber(*config, "checkpoint_every", r, "config")) {
     return;
+  }
+  for (const char* key : {"usable_cpus", "l1d_bytes", "l2_bytes", "llc_bytes"}) {
+    if (!OptionalNumber(*config, key, r, "config")) {
+      return;
+    }
   }
   const JsonValue* workloads = doc.Find("workloads");
   if (workloads == nullptr || !workloads->IsArray() || workloads->AsArray().empty()) {
@@ -199,6 +171,11 @@ void CheckHotpath(const JsonValue& doc, CheckResult* r) {
     }
     for (const char* key : {"sample", "respond", "resolve", "exchange"}) {
       if (!RequireNumber(*phases, key, r, where + ".phase_seconds")) {
+        return;
+      }
+    }
+    for (const char* key : {"prepare", "deploy", "spec_build_s"}) {
+      if (!OptionalNumber(*phases, key, r, where + ".phase_seconds")) {
         return;
       }
     }
