@@ -151,7 +151,7 @@ namespace {
 
 // Pushes the tmp file's bytes to stable storage before the rename publishes
 // it: rename-then-crash must never expose a file whose data blocks are still
-// dirty in the page cache (ROADMAP item 6). No-op on platforms without fsync.
+// dirty in the page cache (docs/TESTING.md, "Snapshot format"). No-op without fsync.
 bool SyncFile(const std::string& path) {
 #ifndef _WIN32
   int fd = ::open(path.c_str(), O_RDONLY);

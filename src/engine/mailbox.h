@@ -73,6 +73,15 @@ class Mailbox {
                std::make_move_iterator(batch.end()));
   }
 
+  // Posts batches[dst] to every destination and empties each batch, keeping
+  // its capacity.
+  void PostAll(node_rank_t src, std::vector<std::vector<MessageT>>& batches) {
+    for (size_t dst = 0; dst < batches.size(); ++dst) {
+      Post(src, static_cast<node_rank_t>(dst), std::move(batches[dst]));
+      batches[dst].clear();
+    }
+  }
+
   // Single-message convenience overload. Takes the channel lock per call, so
   // engine hot paths (per-walker sampling, responses, acks) must accumulate
   // into per-destination scratch and use the batch overload above instead.
@@ -158,15 +167,6 @@ class Mailbox {
     for (auto& d : delayed_) {
       d.clear();
     }
-  }
-
-  // Undelivered delayed messages (only ever non-zero mid-run with faults).
-  size_t pending_delayed() const {
-    size_t total = 0;
-    for (const auto& d : delayed_) {
-      total += d.size();
-    }
-    return total;
   }
 
   // The inbox delivered by the last Exchange(), owned by node `dst`.

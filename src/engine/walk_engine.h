@@ -35,28 +35,26 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/engine/checkpoint.h"
+#include "src/engine/engine_options.h"
 #include "src/engine/mailbox.h"
+#include "src/engine/mutable_graph.h"
+#include "src/engine/path_log.h"
 #include "src/obs/counters.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/engine/transition.h"
 #include "src/engine/walker.h"
 #include "src/graph/csr.h"
-#include "src/graph/delta_store.h"
 #include "src/graph/partition.h"
 #include "src/sampling/static_sampler.h"
-#include "src/sampling/weight_class.h"
 #include "src/sampling/stats.h"
 #include "src/util/cache_geometry.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 #include "src/util/mutex.h"
 #include "src/util/rng.h"
 #include "src/util/thread_annotations.h"
@@ -65,190 +63,6 @@
 #include "src/util/types.h"
 
 namespace knightking {
-
-// One recorded walk position; paths are reassembled from these after a run.
-struct PathEntry {
-  walker_id_t walker = 0;
-  step_t step = 0;
-  vertex_id_t vertex = 0;
-
-  friend bool operator==(const PathEntry&, const PathEntry&) = default;
-};
-
-// Every walker's path in one CSR blob: walker w visited
-// vertices[offsets[w] .. offsets[w + 1]) in step order.
-struct FlatPaths {
-  std::vector<uint64_t> offsets;      // num_walkers + 1 entries, offsets[0] == 0
-  std::vector<vertex_id_t> vertices;  // all paths, concatenated by walker id
-
-  size_t num_paths() const { return offsets.empty() ? 0 : offsets.size() - 1; }
-  std::span<const vertex_id_t> Path(size_t w) const {
-    return {vertices.data() + offsets[w], static_cast<size_t>(offsets[w + 1] - offsets[w])};
-  }
-};
-
-// Locality sort of each node's active walker batch by current vertex before
-// chunking (§6.2's task scheduler, plus the memory-access-ordering insight of
-// ThunderRW/FlashMob): trials against the same vertex then hit warm sampler
-// rows and neighbor spans. Observationally safe — walkers carry their own RNG
-// streams, so processing order never changes walk output.
-enum class BatchSortMode {
-  kAuto = 0,    // group when the estimated touched bytes overflow the L2 share
-  kAlways = 1,  // group every batch (tests / ablations)
-  kNever = 2,   // arrival order (pre-overhaul behaviour)
-};
-
-// Unread; see WalkEngineOptions::worker_schedule.
-enum class WorkerSchedule {
-  kFixed = 0,
-};
-
-struct WalkEngineOptions {
-  // Logical cluster size (the paper's "nodes").
-  node_rank_t num_nodes = 1;
-  // Worker threads per node in full mode; 0 runs everything inline.
-  size_t workers_per_node = 0;
-  // Straggler-aware scheduling (§6.2): below the threshold a node stops
-  // using its worker pool.
-  bool enable_light_mode = false;
-  uint64_t light_mode_threshold = 4000;
-  // Static (Ps) candidate sampler strategy.
-  StaticSamplerKind sampler_kind = StaticSamplerKind::kAuto;
-  // Master seed; every walker derives its own deterministic stream.
-  uint64_t seed = 1;
-  // Record every walker position (costs memory; excluded from timing in the
-  // paper, so benchmarks leave it off).
-  bool collect_paths = false;
-  // Run each phase's per-node work on one thread per logical node, as a
-  // real cluster would execute concurrently. Results are identical either
-  // way (walkers carry their own RNG); default off — on few-core machines
-  // the sequential driver is faster and timing-stable.
-  bool parallel_nodes = false;
-  // Fault injection (non-owning; see src/testing/fault_injector.h). When
-  // set, the engine attaches the injector to all mailboxes and activates
-  // its reliability protocol: acks + bounded retransmit for walker
-  // messages, bounded re-issue of unanswered state queries, and receiver
-  // dedup. Null disables both (zero overhead).
-  FaultInjector* fault_injector = nullptr;
-  // Locality pass over each node's active batch in full (non-light) mode;
-  // see BatchSortMode. kAuto pays the grouping pass only when the batch's
-  // estimated touched bytes (walker state + distinct vertex rows) no longer
-  // fit the cache share, and never below kMinSortBatch walkers — see
-  // ShouldSortBatch.
-  BatchSortMode sort_batches = BatchSortMode::kAuto;
-  // Unread: the engine starts exactly workers_per_node pool threads per node
-  // and, with parallel_nodes, num_nodes - 1 driver threads, none of them
-  // bound to a CPU. The field and its single value remain only because
-  // kkbench/bench.h still assigns it; both go with the next change to
-  // kkbench.
-  WorkerSchedule worker_schedule = WorkerSchedule::kFixed;
-  // Trace recording (runtime toggle; see src/obs/trace.h). When non-null the
-  // engine records one span per BSP phase per iteration at the driver level
-  // plus one span per logical node inside each phase, exportable to
-  // chrome://tracing JSON. Null costs nothing — the engine never reads the
-  // clock for tracing unless a recorder is attached.
-  obs::TraceRecorder* trace = nullptr;
-  // Epoch-based checkpointing: every `checkpoint_every` supersteps (counting
-  // from 0, so an initial snapshot is always taken before the first
-  // iteration) the driver serializes all live walker state to
-  // `checkpoint_path` (atomically, via tmp + rename). 0 disables
-  // checkpointing entirely — the engine never touches the filesystem.
-  // Required (> 0, non-empty path) when the attached FaultInjector schedules
-  // node crashes; see src/engine/checkpoint.h and docs/TESTING.md.
-  uint64_t checkpoint_every = 0;
-  std::string checkpoint_path;
-  // Long-lived ("run forever") mode: keep the static sampler and the Pd
-  // envelope arrays across Runs instead of rebuilding them per Run. Only
-  // valid when every Run uses the same static_comp / dynamic bound callbacks
-  // (the serving layer replays the same transition for every batch); walker
-  // state is still reset per Run. Off by default: batch callers may change
-  // the transition between Runs.
-  bool reuse_static_state = false;
-  // Streaming graph mutations (ROADMAP item 2; docs/DYNAMIC_GRAPHS.md).
-  // Non-owning log of epoch-tagged edge insert/delete/reweight batches; the
-  // driver applies every batch whose epoch has been reached at the top of
-  // the superstep loop, before that superstep's checkpoint cut. Null keeps
-  // the graph static (the mutation read path costs one predictable branch).
-  // Mutations are incompatible with second-order transitions (parked trials
-  // hold local edge indices across supersteps, and respond_query reads the
-  // base CSR) and with reuse_static_state — both are rejected by
-  // ValidateRun() before any setup runs.
-  const MutationLog* mutation_log = nullptr;
-  // Per-vertex delta budget: once any overlay row has absorbed this many
-  // mutations, the whole overlay is folded back into a fresh CSR at the next
-  // batch boundary and the flat sampler state is rebuilt. 0 never merges.
-  uint32_t merge_threshold = 64;
-  // Unread: every weighted dirty row samples through a LazyAliasRow
-  // (docs/DYNAMIC_GRAPHS.md). The field and its single value remain only
-  // because kkbench/batch.cc still assigns it; both go with the next change
-  // to kkbench.
-  DynamicSamplerMode dynamic_sampler = DynamicSamplerMode::kAliasClass;
-};
-
-// Wall-clock breakdown of the last Run, accumulated per phase by the
-// driver. With parallel_nodes the per-phase figure is the barrier-to-
-// barrier wall time across all nodes.
-struct EnginePhaseTimes {
-  double prepare = 0.0;   // static sampler, Pd envelopes, per-node reset
-  double deploy = 0.0;    // placing walkers on their start vertices
-  double sample = 0.0;    // phase A: trials + lockstep walking
-  double respond = 0.0;   // phase B: answering walker-to-vertex queries
-  double resolve = 0.0;   // phase C: resolving parked trials
-  double exchange = 0.0;  // mailbox barriers (walker moves + queries)
-};
-
-// Iterations without any walker progress before the engine declares the walk
-// wedged (see Run()).
-inline constexpr uint64_t kMaxStalledIterations = 100000;
-
-// Lockstep mode: rejected trials per walker per iteration before the engine
-// falls back to one exact full scan (FallbackScan). The scan samples the
-// same law, so the bound only caps the darts spent on distributions with
-// very low acceptance, such as Meta-path dead ends. A Meta-path sweep over
-// 4..256 found 64 the knee between costly fallbacks and wasted trials
-// (EXPERIMENTS.md).
-inline constexpr uint32_t kMaxTrialsPerStep = 64;
-
-// Supersteps a walker message may stay unacknowledged — or a state query
-// unanswered — before it is re-sent. A fault-free round trip completes
-// within one superstep; 2 tolerates one delay fault on a walker message or
-// its ack without spurious retransmission. A state query's answer counts
-// only in the superstep the query was issued for, so one delayed query or
-// response always costs a re-issue.
-inline constexpr uint32_t kRetryTimeout = 2;
-
-// Bounded retries per message/query; exceeding this aborts the run (the
-// simulated network is considered failed, not slow).
-inline constexpr uint32_t kMaxRetries = 64;
-
-// Checkpoint/recovery counters of the last Run. `checkpoint_micros` is
-// wall-clock and therefore not comparable across runs; the other three are
-// deterministic for a given configuration.
-struct CheckpointStats {
-  uint64_t checkpoints = 0;       // snapshots committed
-  uint64_t checkpoint_bytes = 0;  // total bytes across committed snapshots
-  uint64_t checkpoint_micros = 0; // wall-clock spent serializing
-  uint64_t recoveries = 0;        // crash recoveries performed
-};
-
-// Cumulative streaming-mutation counters (docs/DYNAMIC_GRAPHS.md). They
-// survive overlay merges (folded out before each reset) and are rebuilt by a
-// recovery replay, so they always describe the applied history behind the
-// engine's current graph state. All deterministic for a given configuration.
-struct MutationCounters {
-  uint64_t inserted = 0;
-  uint64_t removed = 0;
-  uint64_t reweighted = 0;
-  uint64_t rejected = 0;             // delete-of-absent / reweight-on-unweighted
-  uint64_t rows_materialized = 0;    // overlay rows created (first touches)
-  uint64_t full_builds = 0;          // O(degree) whole-row sampler builds
-  uint64_t bucket_builds = 0;        // lazy per-class alias (re)builds by samples
-  uint64_t incremental_updates = 0;  // O(1) single-bucket sampler updates
-  uint64_t merges = 0;               // overlay -> CSR folds
-  uint64_t delta_mutations = 0;      // currently absorbed by the overlay (gauge)
-
-  uint64_t applied() const { return inserted + removed + reweighted; }
-};
 
 template <typename EdgeData, typename WalkerState = EmptyWalkerState,
           typename QueryResponse = uint8_t>
@@ -262,9 +76,9 @@ class WalkEngine {
   WalkEngine(Csr<EdgeData> graph, WalkEngineOptions options)
       : graph_(std::move(graph)), options_(options) {
     KK_CHECK(options_.num_nodes > 0);
-    std::vector<vertex_id_t> degrees(graph_.num_vertices());
-    for (vertex_id_t v = 0; v < graph_.num_vertices(); ++v) {
-      degrees[v] = graph_.OutDegree(v);
+    std::vector<vertex_id_t> degrees(graph_.csr().num_vertices());
+    for (vertex_id_t v = 0; v < graph_.csr().num_vertices(); ++v) {
+      degrees[v] = graph_.csr().OutDegree(v);
     }
     partition_ = Partition::FromDegrees(degrees, options_.num_nodes);
     nodes_.resize(options_.num_nodes);
@@ -281,7 +95,7 @@ class WalkEngine {
     }
   }
 
-  const Csr<EdgeData>& graph() const { return graph_; }
+  const Csr<EdgeData>& graph() const { return graph_.csr(); }
   const Partition& partition() const { return partition_; }
   const WalkEngineOptions& options() const { return options_; }
 
@@ -339,19 +153,12 @@ class WalkEngine {
     KK_CHECK_MSG(config_error.empty(), "%s", config_error.c_str());
     second_order_ = transition.IsSecondOrder();
     dynamic_ = transition.IsDynamic();
-    mutating_ = options_.mutation_log != nullptr;
-    weighted_ = transition.static_comp != nullptr || HasWeight<EdgeData>;
-    if (mutating_ && !delta_.attached()) {
-      // First mutating Run: snapshot the pristine CSR (the replay origin —
-      // recovery re-derives any merged graph from it) and attach the overlay.
-      pristine_graph_ = graph_;
-      delta_.Reset(&graph_);
-      overlay_.Reset(graph_.num_vertices());
-      mutation_cursor_ = 0;
-      merges_ = 0;
-      merge_micros_ = 0;
-      folded_ = MutationCounters{};
-    }
+    graph_.BeginRun(options_.mutation_log, options_.merge_threshold,
+                    /*weighted=*/transition.static_comp != nullptr || HasWeight<EdgeData>,
+                    {.ps = [this](vertex_id_t v, const AdjT& edge) { return PsOf(v, edge); },
+                     .refresh_envelope = [this](auto v, auto deg) { RefreshEnvelope(v, deg); },
+                     .prepare_static = [this] { PrepareStatic(); },
+                     .pool = PreparePool()});
 
     phase_times_ = EnginePhaseTimes{};
     ckpt_stats_ = CheckpointStats{};
@@ -434,12 +241,8 @@ class WalkEngine {
       // Mutations apply before this superstep's checkpoint cut, so a
       // snapshot at superstep s always contains every batch with epoch <= s
       // — the invariant the recovery replay depends on.
-      if (mutating_) {
-        ApplyDueMutations();
-        // Once per superstep: RowBytes visits every overlay row, far too
-        // slow for the per-node, per-superstep locality estimate.
-        overlay_row_bytes_ =
-            overlay_.NumRows() > 0 ? overlay_.RowBytes() / overlay_.NumRows() : 0;
+      if (graph_.mutating()) {
+        graph_.ApplyDue(superstep_, options_.fault_injector);
       }
       // Snapshot before probing for crashes: the initial save at superstep 0
       // guarantees every crash finds a checkpoint at or before its epoch.
@@ -494,48 +297,20 @@ class WalkEngine {
            response_mail_->cross_node_bytes() + ack_mail_->cross_node_bytes();
   }
 
-  const SamplingStats& last_stats() const { return last_stats_; }
-
   // Checkpoint/recovery counters of the last Run (all zero when
   // options.checkpoint_every is 0).
   const CheckpointStats& checkpoint_stats() const { return ckpt_stats_; }
 
   // Streaming-mutation counters over the engine lifetime (all zero without a
   // mutation log). Live counters plus everything folded out at merges.
-  MutationCounters mutation_counters() const {
-    MutationCounters c = folded_;
-    AddLiveMutationCounters(c);
-    c.merges = merges_;
-    c.delta_mutations = delta_.DeltaMutations();
-    return c;
-  }
+  MutationCounters mutation_counters() const { return graph_.counters(); }
 
   // Mutation-log batches applied so far (the checkpoint cursor).
-  size_t mutation_batches_applied() const { return mutation_cursor_; }
+  size_t mutation_batches_applied() const { return graph_.batches_applied(); }
 
   // Wall-clock spent folding the overlay into fresh CSRs (all merges so
   // far). Unstable across machines — exported as an unstable metric.
-  uint64_t merge_micros() const { return merge_micros_; }
-
-  // kAuto locality estimate: bytes a batch of this size will touch — its own
-  // walker state, one static row per distinct landing vertex, and (under
-  // mutation) the overlay adjacency + weight-class rows of whatever dirty
-  // vertices it can hit. ShouldSortBatch compares this against the L2
-  // share; public so tests can pin the estimate's mutation term.
-  uint64_t EstimatedBatchTouchedBytes(size_t batch_size) const {
-    const uint64_t walker_bytes = batch_size * sizeof(WalkerT);
-    const uint64_t rows = std::min<uint64_t>(batch_size, graph_.num_vertices());
-    uint64_t touched = walker_bytes + rows * bytes_per_vertex_;
-    // Delta-overlay rows are hot state the static footprint knows nothing about:
-    // without this term the estimate goes stale as mutations accumulate and
-    // kAuto under-sorts exactly when locality matters most. The weight-class
-    // row size is the one sampled at the last superstep barrier.
-    const uint64_t dirty = std::min<uint64_t>(rows, delta_.NumDirtyRows());
-    if (dirty > 0) {
-      touched += dirty * (delta_.BytesPerDirtyRow() + overlay_row_bytes_);
-    }
-    return touched;
-  }
+  uint64_t merge_micros() const { return graph_.merge_micros(); }
 
   // Restores engine state from a snapshot written by SaveCheckpoint. All
   // validation — header fields against this engine's configuration and
@@ -544,145 +319,10 @@ class WalkEngine {
   // node rank later code indexes with — happens before any state is touched,
   // so a corrupt or mismatched snapshot returns false and leaves the engine
   // unchanged. Driver-only.
-  bool LoadCheckpoint(const std::string& path) {
-    BinaryFileReader r(path);
-    if (!r.ok()) {
-      return false;
-    }
-    CheckpointHeader h;
-    if (!ReadCheckpointHeader(r, &h)) {
-      return false;
-    }
-    if (h.num_nodes != options_.num_nodes || h.seed != options_.seed ||
-        h.num_walkers != num_walkers_ || h.walker_bytes != sizeof(WalkerT) ||
-        h.pending_bytes != sizeof(PendingTrial) ||
-        h.inflight_bytes != sizeof(InFlightMove) ||
-        h.pathentry_bytes != sizeof(PathEntry)) {
-      return false;
-    }
-    // Mutation cut: the snapshot must replay against exactly the log this
-    // engine is configured with (or none at all). The prefix hash pins the
-    // byte content of every batch the crashed run had applied; restoring a
-    // walk over a different graph history would not be a recovery.
-    if (options_.mutation_log == nullptr) {
-      if (h.mutation_batches != 0 || h.mutation_hash != 0) {
-        return false;
-      }
-    } else if (h.mutation_batches > options_.mutation_log->num_batches() ||
-               h.mutation_hash !=
-                   options_.mutation_log->PrefixHash(
-                       static_cast<size_t>(h.mutation_batches))) {
-      return false;
-    }
-    std::vector<step_t> progress;
-    if (!r.ReadVec(&progress)) {
-      return false;
-    }
-    // The progress section is written per the run's reliability mode: one
-    // entry per walker under fault injection, empty otherwise.
-    if (progress.size() != (reliable_ ? static_cast<size_t>(num_walkers_) : 0)) {
-      return false;
-    }
-    std::vector<uint64_t> history;
-    if (!r.ReadVec(&history)) {
-      return false;
-    }
-    std::vector<NodeSnapshot> snap(options_.num_nodes);
-    for (auto& ns : snap) {
-      uint64_t stats_bytes = 0;
-      if (!r.Read(&stats_bytes) || stats_bytes != sizeof(SamplingStats) ||
-          !r.ReadBytes(&ns.stats, sizeof(SamplingStats))) {
-        return false;
-      }
-      if (!r.ReadVec(&ns.active) || !r.ReadVec(&ns.parked) || !r.ReadVec(&ns.unacked) ||
-          !r.ReadVec(&ns.path_log) || !SnapshotContentValid(ns)) {
-        return false;
-      }
-    }
-    uint64_t computed = r.checksum();
-    uint64_t stored = 0;
-    if (!r.Read(&stored) || stored != computed || r.remaining() != 0) {
-      return false;
-    }
-    // Fully validated — commit. next_active is a transient that is always
-    // empty at the top-of-loop cut the snapshot was taken at. Parked trials
-    // take their section's order, so each one's slot is its index there;
-    // in-transit queries never survive a restore (RecoverFromCrash wipes the
-    // mailboxes), so no response can address an older slot.
-    superstep_ = h.superstep;
-    walker_progress_ = std::move(progress);
-    active_history_ = std::move(history);
-    for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
-      NodeState& node = *nodes_[n];
-      NodeSnapshot& ns = snap[n];
-      MutexLock lock(node.merge_mutex);  // driver-only; satisfies the analysis
-      node.stats = ns.stats;
-      node.active = std::move(ns.active);
-      node.next_active.clear();
-      node.parked = std::move(ns.parked);
-      node.in_flight.clear();
-      for (InFlightMove& move : ns.unacked) {
-        node.in_flight.emplace(move.walker.id, std::move(move));
-      }
-      node.path_log = std::move(ns.path_log);
-    }
-    if (options_.mutation_log != nullptr) {
-      if (transition_ != nullptr) {
-        // In-Run restore (crash recovery): re-derive the graph at the cut by
-        // replaying the applied prefix from the pristine CSR — overlay rows,
-        // merge points, and incremental weight totals included, byte for
-        // byte (see docs/DYNAMIC_GRAPHS.md).
-        ReplayMutationPrefix(static_cast<size_t>(h.mutation_batches));
-      } else {
-        // Driver-only restore outside Run: record the cursor; the graph
-        // replay needs the transition's Ps and bounds, so Run performs it.
-        mutation_cursor_ = static_cast<size_t>(h.mutation_batches);
-      }
-    }
-    return true;
-  }
+  bool LoadCheckpoint(const std::string& path);
 
-  // Assembles the last Run's paths (requires options.collect_paths) into
-  // *out with one two-pass counting scatter over the node logs: pass 1
-  // counts each walker's entries into CSR offsets, pass 2 writes every
-  // vertex at offsets[walker] + step. No sort and no per-walker allocation;
-  // *out's buffers are reused. Aborts unless each walker's log holds every
-  // step below its entry count exactly once.
-  void TakeFlatPaths(FlatPaths* out) {
-    std::vector<uint64_t>& offsets = out->offsets;
-    std::vector<vertex_id_t>& vertices = out->vertices;
-    offsets.assign(static_cast<size_t>(num_walkers_) + 1, 0);
-    for (auto& node : nodes_) {
-      MutexLock lock(node->merge_mutex);  // post-Run, uncontended
-      for (const PathEntry& entry : node->path_log) {
-        KK_CHECK(entry.walker < num_walkers_);
-        offsets[entry.walker + 1] += 1;
-      }
-    }
-    for (size_t w = 1; w < offsets.size(); ++w) {
-      offsets[w] += offsets[w - 1];
-    }
-    // kInvalidVertex marks a slot not yet written; no graph vertex has it.
-    vertices.assign(offsets.back(), kInvalidVertex);
-    for (auto& node : nodes_) {
-      MutexLock lock(node->merge_mutex);  // post-Run, uncontended
-      for (const PathEntry& entry : node->path_log) {
-        const uint64_t begin = offsets[entry.walker];
-        const uint64_t count = offsets[entry.walker + 1] - begin;
-        const bool fresh = entry.step < count && vertices[begin + entry.step] == kInvalidVertex;
-        KK_CHECK_MSG(fresh && entry.vertex != kInvalidVertex,
-                     "non-contiguous path log for walker %llu: step %u (vertex %u) %s "
-                     "among its %llu log entries; a step record was dropped or "
-                     "double-delivered upstream",
-                     static_cast<unsigned long long>(entry.walker),
-                     static_cast<unsigned>(entry.step), static_cast<unsigned>(entry.vertex),
-                     entry.step >= count ? "is out of range" : "is logged twice",
-                     static_cast<unsigned long long>(count));
-        vertices[begin + entry.step] = entry.vertex;
-      }
-      node->path_log.clear();
-    }
-  }
+  // The last Run's paths into *out (requires options.collect_paths); see AssembleFlatPaths.
+  void TakeFlatPaths(FlatPaths* out) { AssembleFlatPaths(num_walkers_, PathLogs(), out); }
 
   // The raw path log node n recorded during the last Run, in arrival order
   // (requires options.collect_paths; the Take* calls empty it). Read it only
@@ -695,32 +335,13 @@ class WalkEngine {
   // The raw path log of the last Run in canonical (walker, step) order
   // (requires options.collect_paths): a view over TakeFlatPaths.
   // Deterministic-simulation tests compare this representation byte for byte.
-  std::vector<PathEntry> TakePathEntries() {
-    FlatPaths flat;
-    TakeFlatPaths(&flat);
-    std::vector<PathEntry> entries;
-    entries.reserve(flat.vertices.size());
-    for (size_t w = 0; w < flat.num_paths(); ++w) {
-      step_t step = 0;
-      for (vertex_id_t v : flat.Path(w)) {
-        entries.push_back({static_cast<walker_id_t>(w), step++, v});
-      }
-    }
-    return entries;
-  }
+  std::vector<PathEntry> TakePathEntries() { return AssemblePathEntries(num_walkers_, PathLogs()); }
 
   // The last Run's walk sequences indexed by walker id (requires
   // options.collect_paths): a copy of TakeFlatPaths into one vector per
   // walker.
   std::vector<std::vector<vertex_id_t>> TakePaths() {
-    FlatPaths flat;
-    TakeFlatPaths(&flat);
-    std::vector<std::vector<vertex_id_t>> paths(flat.num_paths());
-    for (size_t w = 0; w < paths.size(); ++w) {
-      std::span<const vertex_id_t> path = flat.Path(w);
-      paths[w].assign(path.begin(), path.end());
-    }
-    return paths;
+    return AssemblePaths(num_walkers_, PathLogs());
   }
 
   // Per-node phase-attributed counters of the last Run (empty no-op type
@@ -741,100 +362,7 @@ class WalkEngine {
   // timings, and cross-node totals are always available; the per-node
   // per-phase breakdown, scratch-pool counters, and the per-destination
   // mailbox matrix additionally require a KK_OBS build.
-  void ExportMetrics(obs::MetricsRegistry& out, const obs::Labels& base_labels = {}) const {
-    auto with = [&base_labels](obs::Labels extra) {
-      extra.insert(extra.end(), base_labels.begin(), base_labels.end());
-      return extra;
-    };
-    last_stats_.ForEachField([&](const char* field, uint64_t v) {
-      out.AddCounter(std::string("engine.") + field, with({}), v);
-    });
-    out.SetGauge("engine.acceptance_rate", with({}), last_stats_.AcceptanceRate(),
-                 /*stable=*/true);
-    out.AddCounter("engine.sampler_bytes", with({}), sampler_.MemoryBytes());
-    // Streaming-mutation counters (all zero without a mutation log; see
-    // docs/DYNAMIC_GRAPHS.md). All deterministic for a given configuration.
-    const MutationCounters mc = mutation_counters();
-    out.SetGauge("graph.delta_edges", with({}),
-                 static_cast<double>(mc.delta_mutations), /*stable=*/true);
-    out.AddCounter("graph.merges", with({}), mc.merges);
-    // Wall-clock: never part of the deterministic snapshot contract.
-    out.AddCounter("graph.merge_micros", with({}), merge_micros_, /*stable=*/false);
-    out.AddCounter("graph.mutations_applied", with({}), mc.applied());
-    out.AddCounter("graph.mutations_rejected", with({}), mc.rejected);
-    out.AddCounter("sampler.incremental_updates", with({}), mc.incremental_updates);
-    out.AddCounter("sampler.full_builds", with({}), mc.full_builds);
-    out.AddCounter("sampler.bucket_builds", with({}), mc.bucket_builds);
-    out.AddCounter("engine.checkpoints", with({}), ckpt_stats_.checkpoints);
-    out.AddCounter("engine.checkpoint_bytes", with({}), ckpt_stats_.checkpoint_bytes);
-    // Wall-clock: never part of the deterministic snapshot contract.
-    out.AddCounter("engine.checkpoint_micros", with({}), ckpt_stats_.checkpoint_micros,
-                   /*stable=*/false);
-    out.AddCounter("engine.recoveries", with({}), ckpt_stats_.recoveries);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "prepare"}}), phase_times_.prepare);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "deploy"}}), phase_times_.deploy);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "sample"}}), phase_times_.sample);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "respond"}}), phase_times_.respond);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
-    out.SetGauge("engine.phase_seconds", with({{"phase", "exchange"}}), phase_times_.exchange);
-    if (obs::kObsEnabled) {
-      // Scratch-pool reuse depends on worker-pool scheduling, so it is only
-      // a stable (run-to-run comparable) metric when chunks run inline.
-      const bool scratch_stable = options_.workers_per_node == 0;
-      for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
-        MutexLock node_lock(nodes_[n]->merge_mutex);  // post-Run, uncontended
-        const obs::PhaseAccumulator& acc = nodes_[n]->obs;
-        obs::Labels node_label = {{"node", std::to_string(n)}};
-        for (size_t p = 0; p < obs::kNumPhases; ++p) {
-          auto phase = static_cast<obs::Phase>(p);
-          SamplingStats stats = acc.Stats(phase);
-          stats.ForEachField([&](const char* field, uint64_t v) {
-            if (v != 0) {
-              out.AddCounter(std::string("engine.phase.") + field,
-                             with({{"node", std::to_string(n)},
-                                   {"phase", obs::PhaseName(phase)}}),
-                             v);
-            }
-          });
-        }
-        out.AddCounter("engine.scratch_pool.hits", with(node_label), acc.scratch_hits,
-                       scratch_stable);
-        out.AddCounter("engine.scratch_pool.misses", with(node_label), acc.scratch_misses,
-                       scratch_stable);
-        out.AddCounter("engine.batch_sorts", with(node_label), acc.batch_sorts);
-      }
-    }
-    auto export_mailbox = [&](const char* name, const auto& mail) {
-      if (mail == nullptr) {
-        return;
-      }
-      obs::Labels mail_label = {{"mailbox", name}};
-      out.AddCounter("engine.mailbox.cross_node_messages", with(mail_label),
-                     mail->cross_node_messages());
-      out.AddCounter("engine.mailbox.cross_node_bytes", with(mail_label),
-                     mail->cross_node_bytes());
-      if (obs::kObsEnabled) {
-        for (node_rank_t src = 0; src < options_.num_nodes; ++src) {
-          for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-            uint64_t messages = mail->posted_messages(src, dst);
-            if (messages == 0) {
-              continue;
-            }
-            obs::Labels channel = {{"mailbox", name},
-                                   {"src", std::to_string(src)},
-                                   {"dst", std::to_string(dst)}};
-            out.AddCounter("engine.mailbox.posted_messages", with(channel), messages);
-            out.AddCounter("engine.mailbox.posted_bytes", with(channel),
-                           mail->posted_bytes(src, dst));
-          }
-        }
-      }
-    };
-    export_mailbox("walker", walker_mail_);
-    export_mailbox("query", query_mail_);
-    export_mailbox("response", response_mail_);
-    export_mailbox("ack", ack_mail_);
-  }
+  void ExportMetrics(obs::MetricsRegistry& out, const obs::Labels& base_labels = {}) const;
 
  private:
   // State query of a parked second-order trial (§5.1's two-round exchange).
@@ -862,11 +390,6 @@ class WalkEngine {
   // The slot fills alignment padding, so it costs no message bytes.
   static_assert(sizeof(QueryMsg) == 32);
   static_assert(sizeof(QueryResponse) > sizeof(uint32_t) || sizeof(ResponseMsg) == 24);
-
-  // Canonical snapshot order of parked trials and in-flight copies.
-  static constexpr auto kByWalkerId = [](const auto& a, const auto& b) {
-    return a.walker.id < b.walker.id;
-  };
 
   // Positive acknowledgement of a delivered walker message (reliability
   // protocol; only flows under fault injection).
@@ -920,14 +443,10 @@ class WalkEngine {
       moves.resize(num_nodes);
       queries.resize(num_nodes);
       responses.resize(num_nodes);
-      for (auto& m : moves) {
-        m.clear();
-      }
-      for (auto& q : queries) {
-        q.clear();
-      }
-      for (auto& r : responses) {
-        r.clear();
+      for (node_rank_t dst = 0; dst < num_nodes; ++dst) {
+        moves[dst].clear();
+        queries[dst].clear();
+        responses[dst].clear();
       }
       stay.clear();
       pending_trials.clear();
@@ -969,6 +488,17 @@ class WalkEngine {
     // node; see SortBatchByLocality).
     std::vector<WalkerT> sort_tmp_walkers;
     std::vector<uint32_t> sort_bucket_counts;
+
+    // Empties every walker, trial, in-flight copy and path entry and zeroes
+    // the stats (a new Run, or a crashed node's lost volatile state).
+    void DropWalkState() KK_REQUIRES(merge_mutex) {
+      active.clear();
+      next_active.clear();
+      parked.clear();
+      in_flight.clear();
+      path_log.clear();
+      stats = SamplingStats{};
+    }
   };
 
   // Pops a cleared scratch from the node's freelist (or makes the pool's
@@ -1004,197 +534,26 @@ class WalkEngine {
     vertex_id_t query_target = 0;
   };
 
+  // Every node's path log; read only between Runs, like node_observability.
+  std::vector<std::vector<PathEntry>*> PathLogs() KK_NO_THREAD_SAFETY_ANALYSIS {
+    std::vector<std::vector<PathEntry>*> logs;
+    for (auto& node : nodes_) {
+      logs.push_back(&node->path_log);
+    }
+    return logs;
+  }
+
   real_t PsOf(vertex_id_t v, const AdjT& edge) const {
     return transition_->static_comp ? transition_->static_comp(v, edge)
                                     : StaticWeight(edge.data);
   }
 
-  // ---- Mutation-aware read path -------------------------------------------
-  // Every sampling-path graph access routes through these: a clean vertex
-  // reads the base CSR / flat sampler tables exactly as before, a dirty one
-  // reads its overlay adjacency / weight-class row. Without a mutation log
-  // each helper is the old access plus one predictable branch.
-
-  bool DirtyRow(vertex_id_t v) const { return mutating_ && delta_.IsDirty(v); }
-
-  std::span<const AdjT> NeighborsOf(vertex_id_t v) const {
-    return mutating_ ? delta_.Neighbors(v) : graph_.Neighbors(v);
-  }
-
-  vertex_id_t DegreeOf(vertex_id_t v) const {
-    return mutating_ ? delta_.OutDegree(v) : graph_.OutDegree(v);
-  }
-
-  // Ps-proportional candidate draw at v. Unweighted dirty rows draw uniform
-  // over the live degree (the flat uniform sampler's degree would be stale).
-  // Non-const: an overlay sample may lazily materialize the class it lands
-  // in (worker-thread-safe — see LazyAliasRow).
-  vertex_id_t SampleCandidate(vertex_id_t v, Rng& rng) {
-    if (DirtyRow(v)) {
-      if (weighted_) {
-        return static_cast<vertex_id_t>(overlay_.Sample(v, rng));
-      }
-      return static_cast<vertex_id_t>(rng.NextUInt64(delta_.OutDegree(v)));
-    }
-    return sampler_.Sample(v, rng);
-  }
-
-  // Sum of Ps over v's out-edges (the dartboard width).
-  double CandidateWidth(vertex_id_t v) const {
-    if (DirtyRow(v)) {
-      return weighted_ ? overlay_.TotalWeight(v)
-                       : static_cast<double>(delta_.OutDegree(v));
-    }
-    return sampler_.TotalWeight(v);
-  }
-
-  // Upper bound on any single Ps at v (outlier appendix width). The overlay
-  // bound is monotone over the row's history — an over-estimate costs
-  // appendix efficiency, never correctness.
-  real_t CandidateMaxWeight(vertex_id_t v) const {
-    if (DirtyRow(v)) {
-      return weighted_ ? overlay_.MaxWeight(v) : 1.0f;
-    }
-    return sampler_.MaxWeight(v);
-  }
-
-  // ---- Streaming mutations (driver-only between supersteps) ---------------
-  // See docs/DYNAMIC_GRAPHS.md. All of this runs at the top-of-loop barrier
-  // with no phase in flight, so overlay rows are edited with no concurrent
-  // reader.
-
-  // Applies every not-yet-applied log batch whose epoch has been reached.
-  void ApplyDueMutations() {
-    const MutationLog& log = *options_.mutation_log;
-    while (mutation_cursor_ < log.num_batches() &&
-           log.batch(mutation_cursor_).epoch <= superstep_) {
-      ApplyBatch(log.batch(mutation_cursor_));
-      if (reliable_) {
-        // Live path only (replay never re-arms): lets tests pin a crash to
-        // "right after this batch landed" by content id. The crash fires in
-        // this same superstep's TakeCrash probe, after the checkpoint save.
-        options_.fault_injector->NotifyMutationBatch(log.batch(mutation_cursor_).id,
-                                                     superstep_);
-      }
-      ++mutation_cursor_;
-      // Merges fire only at batch boundaries: a threshold crossed mid-batch
-      // defers to here, so every batch applies against one consistent base.
-      if (delta_.pending_merge()) {
-        MergeOverlay();
-      }
-    }
-  }
-
-  void ApplyBatch(const MutationBatch& batch) {
-    for (const EdgeMutation& m : batch.mutations) {
-      ApplyMutation(m);
-    }
-  }
-
-  // One mutation: materialize on first touch (the only O(degree) step),
-  // mirror the row edit into the weight-class sampler in O(1), refresh the
-  // vertex's Pd envelope.
-  void ApplyMutation(const EdgeMutation& m) {
-    if (!delta_.IsDirty(m.src)) {
-      delta_.Materialize(m.src);
-      if (weighted_) {
-        BuildOverlayRow(m.src);
-      }
-    }
-    const RowEdit edit = delta_.Apply(m, options_.merge_threshold);
-    if (weighted_) {
-      switch (edit.kind) {
-        case RowEdit::Kind::kNone:
-          break;
-        case RowEdit::Kind::kInsert:
-          overlay_.PushBack(m.src,
-                            PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
-          break;
-        case RowEdit::Kind::kRemove:
-          overlay_.SwapRemove(m.src, edit.local_index);
-          break;
-        case RowEdit::Kind::kReweight:
-          overlay_.Reweight(m.src, edit.local_index,
-                            PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
-          break;
-      }
-    }
-    if (dynamic_ && edit.kind != RowEdit::Kind::kNone) {
-      const vertex_id_t deg = delta_.OutDegree(m.src);
-      upper_[m.src] = transition_->dynamic_upper_bound(m.src, deg);
+  // MutableGraph::Hooks::refresh_envelope: v's Pd envelope at its new degree.
+  void RefreshEnvelope(vertex_id_t v, vertex_id_t degree) {
+    if (dynamic_) {
+      upper_[v] = transition_->dynamic_upper_bound(v, degree);
       if (!lower_.empty()) {
-        lower_[m.src] = transition_->dynamic_lower_bound(m.src, deg);
-      }
-    }
-  }
-
-  // Computes the Ps row for a freshly materialized vertex and builds its
-  // weight-class row.
-  void BuildOverlayRow(vertex_id_t v) {
-    auto nbrs = delta_.Neighbors(v);
-    ps_row_buffer_.resize(nbrs.size());
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      ps_row_buffer_[i] = PsOf(v, nbrs[i]);
-    }
-    overlay_.BuildRow(v, ps_row_buffer_);
-  }
-
-  // Folds base + overlay into a fresh CSR and rebuilds the flat static state
-  // over it. Clean rows byte-copy and dirty rows sort, in parallel vertex
-  // chunks on the prepare pool; amortized over merge_threshold mutations per
-  // row. Wall-clock accrues to merge_micros (graph.merge_micros, unstable).
-  void MergeOverlay() {
-    Timer merge_timer;
-    // Preserves the live counters across the resets below.
-    AddLiveMutationCounters(folded_);
-    Csr<EdgeData> merged = delta_.MergedCsr(PreparePool());
-    graph_ = std::move(merged);
-    delta_.Reset(&graph_);
-    overlay_.Reset(graph_.num_vertices());
-    ++merges_;
-    PrepareStatic();  // flat sampler tables, envelope arrays, partition plan
-    merge_micros_ += static_cast<uint64_t>(merge_timer.Seconds() * 1e6);
-  }
-
-  // Adds the counters the delta store and the overlay have kept since their
-  // last reset.
-  void AddLiveMutationCounters(MutationCounters& c) const {
-    const auto& s = delta_.stats();
-    c.inserted += s.inserted;
-    c.removed += s.removed;
-    c.reweighted += s.reweighted;
-    c.rejected += s.rejected;
-    c.rows_materialized += s.rows_materialized;
-    c.full_builds += overlay_.full_builds();
-    c.bucket_builds += overlay_.bucket_builds();
-    c.incremental_updates += overlay_.incremental_updates();
-  }
-
-  // Rebuilds the graph exactly as it stood after `count` applied batches:
-  // pristine CSR, replayed prefix, merges re-executed at the same points —
-  // the same IEEE operation sequence the live run performed, so overlay rows
-  // and incremental weight totals come back byte-identical. Counters reset
-  // and re-accumulate, so post-recovery figures match a run that never
-  // crashed up to the restored cut.
-  void ReplayMutationPrefix(size_t count) {
-    KK_CHECK(mutating_ && transition_ != nullptr);
-    const MutationLog& log = *options_.mutation_log;
-    KK_CHECK_MSG(count <= log.num_batches(),
-                 "checkpoint applied %zu mutation batches but the log has %zu",
-                 count, log.num_batches());
-    graph_ = pristine_graph_;
-    delta_.Reset(&graph_);
-    overlay_.Reset(graph_.num_vertices());
-    merges_ = 0;
-    merge_micros_ = 0;
-    folded_ = MutationCounters{};
-    PrepareStatic();
-    mutation_cursor_ = 0;
-    while (mutation_cursor_ < count) {
-      ApplyBatch(log.batch(mutation_cursor_));
-      ++mutation_cursor_;
-      if (delta_.pending_merge()) {
-        MergeOverlay();
+        lower_[v] = transition_->dynamic_lower_bound(v, degree);
       }
     }
   }
@@ -1212,17 +571,6 @@ class WalkEngine {
     return nullptr;
   }
 
-  // Runs fn(begin, end) over [0, total) on `pool` in coarse chunks (inline
-  // when pool is null). fn must write disjoint slices only.
-  template <typename Fn>
-  static void ParallelFill(ThreadPool* pool, size_t total, const Fn& fn) {
-    if (pool == nullptr || pool->num_workers() == 0 || total == 0) {
-      fn(0, total);
-      return;
-    }
-    pool->ParallelFor(total, BuildChunkSize(total, pool->num_workers()), fn);
-  }
-
   // Precomputes the static sampler and per-vertex envelope arrays. Both are
   // per-vertex independent, so the whole of Prepare parallelizes over vertex
   // chunks; the transition's bound callbacks must be pure (they are: the
@@ -1234,12 +582,7 @@ class WalkEngine {
     }
     for (auto& node : nodes_) {
       MutexLock lock(node->merge_mutex);  // pre-Run, uncontended
-      node->active.clear();
-      node->next_active.clear();
-      node->parked.clear();
-      node->in_flight.clear();
-      node->path_log.clear();
-      node->stats = SamplingStats{};
+      node->DropWalkState();
       node->obs.Reset();
       node->requery_out.resize(options_.num_nodes);
     }
@@ -1249,31 +592,32 @@ class WalkEngine {
 
   void PrepareStatic() {
     ThreadPool* pool = PreparePool();
-    sampler_.Build(graph_, options_.sampler_kind, transition_->static_comp, pool);
+    const Csr<EdgeData>& csr = graph_.csr();
+    sampler_.Build(csr, options_.sampler_kind, transition_->static_comp, pool);
     upper_.clear();
     lower_.clear();
     if (dynamic_) {
-      upper_.resize(graph_.num_vertices());
-      ParallelFill(pool, graph_.num_vertices(), [this](size_t begin, size_t end) {
+      upper_.resize(csr.num_vertices());
+      ParallelFill(pool, csr.num_vertices(), [this, &csr](size_t begin, size_t end) {
         for (size_t v = begin; v < end; ++v) {
           auto vid = static_cast<vertex_id_t>(v);
-          upper_[v] = transition_->dynamic_upper_bound(vid, graph_.OutDegree(vid));
+          upper_[v] = transition_->dynamic_upper_bound(vid, csr.OutDegree(vid));
         }
       });
       if (transition_->dynamic_lower_bound) {
-        lower_.resize(graph_.num_vertices());
-        ParallelFill(pool, graph_.num_vertices(), [this](size_t begin, size_t end) {
+        lower_.resize(csr.num_vertices());
+        ParallelFill(pool, csr.num_vertices(), [this, &csr](size_t begin, size_t end) {
           for (size_t v = begin; v < end; ++v) {
             auto vid = static_cast<vertex_id_t>(v);
-            lower_[v] = transition_->dynamic_lower_bound(vid, graph_.OutDegree(vid));
+            lower_[v] = transition_->dynamic_lower_bound(vid, csr.OutDegree(vid));
           }
         });
       }
     }
     // Average hot-state bytes per vertex row: adjacency, sampler tables and
     // the envelope scalars (the kAuto locality estimate's row size).
-    const vertex_id_t num_v = graph_.num_vertices();
-    const uint64_t footprint = graph_.num_edges() * sizeof(AdjT) + sampler_.MemoryBytes() +
+    const vertex_id_t num_v = csr.num_vertices();
+    const uint64_t footprint = csr.num_edges() * sizeof(AdjT) + sampler_.MemoryBytes() +
                                (upper_.size() + lower_.size()) * sizeof(real_t);
     bytes_per_vertex_ = num_v > 0 ? std::max<uint64_t>(1, footprint / num_v) : 1;
   }
@@ -1284,7 +628,7 @@ class WalkEngine {
     KK_CHECK(walker_spec_->num_walkers < kDeployStream);
     Rng deploy_rng;
     deploy_rng.SeedStream(options_.seed, kDeployStream);
-    vertex_id_t num_v = graph_.num_vertices();
+    vertex_id_t num_v = graph_.csr().num_vertices();
     KK_CHECK(num_v > 0);
     for (walker_id_t i = 0; i < walker_spec_->num_walkers; ++i) {
       WalkerT w;
@@ -1329,16 +673,6 @@ class WalkEngine {
     return false;
   }
 
-  ThreadPool* PoolFor(NodeState& node, size_t work_items) {
-    if (node.pool == nullptr) {
-      return nullptr;
-    }
-    if (options_.enable_light_mode && work_items < options_.light_mode_threshold) {
-      return nullptr;  // light mode: run inline, skip pool coordination
-    }
-    return node.pool.get();
-  }
-
   template <typename Fn>
   void ParallelOver(NodeState& node, size_t total, const Fn& fn) {
     if (total == 0) {
@@ -1346,12 +680,13 @@ class WalkEngine {
       // scratch acquisition nor a merge lock.
       return;
     }
-    ThreadPool* pool = PoolFor(node, total);
-    if (pool == nullptr) {
+    // Light mode: run inline, skip pool coordination.
+    const bool light = options_.enable_light_mode && total < options_.light_mode_threshold;
+    if (node.pool == nullptr || light) {
       fn(0, total);
       return;
     }
-    pool->ParallelFor(total, kDefaultChunkSize, fn);
+    node.pool->ParallelFor(total, kDefaultChunkSize, fn);
   }
 
   // Locality pass (§6.2 scheduling + the access-ordering insight ThunderRW
@@ -1383,13 +718,20 @@ class WalkEngine {
            cache_geo_.l2_bytes / kBucketCacheShareDiv;
   }
 
+  // kAuto locality estimate: bytes a batch of this size will touch — its own
+  // walker state and one static row per distinct landing vertex.
+  uint64_t EstimatedBatchTouchedBytes(size_t batch_size) const {
+    const uint64_t rows = std::min<uint64_t>(batch_size, graph_.csr().num_vertices());
+    return batch_size * sizeof(WalkerT) + rows * bytes_per_vertex_;
+  }
+
   // The locality pass: groups `batch` by cur's vertex range (kSortBuckets
   // fixed ranges) with a stable counting sort into a per-node reused buffer
   // (steady state allocates nothing). The pass is a pure function of message
   // content plus input order. Never observable in walk output — each
   // walker's RNG stream is its own.
   void SortBatchByLocality(NodeState& node, std::vector<WalkerT>& batch) {
-    uint64_t num_v = graph_.num_vertices();
+    uint64_t num_v = graph_.csr().num_vertices();
     auto bucket_of = [num_v](const WalkerT& w) {
       return static_cast<size_t>(static_cast<uint64_t>(w.cur) * kSortBuckets / num_v);
     };
@@ -1409,279 +751,16 @@ class WalkEngine {
     batch.swap(tmp);
   }
 
-  // Runs body(i) over [begin, end), pulling walker i+1's graph/sampler rows
-  // toward the cache while walker i computes (batches are cur-grouped, so
-  // the hint is almost always useful). Dirty overlay rows get no hint: they
-  // are small and recently written, so already hot.
+  // ---- Trial kernels (trial_kernels.h) ----
   template <typename CurFn, typename BodyFn>
-  void PrefetchedRun(size_t begin, size_t end, const CurFn& cur_of, const BodyFn& body) const {
-    for (size_t i = begin; i < end; ++i) {
-      if (i + 1 < end) {
-        const vertex_id_t next = cur_of(i + 1);
-        if (!DirtyRow(next)) {
-          graph_.PrefetchNeighbors(next);
-          sampler_.Prefetch(next);
-        }
-      }
-      body(i);
-    }
-  }
-
-  // One rejection-sampling trial for walker w at w.cur. Counts stats into
-  // `stats` (chunk-local).
-  TrialResult RunTrial(WalkerT& w, SamplingStats& stats) {
-    vertex_id_t v = w.cur;
-    vertex_id_t degree = DegreeOf(v);
-    if (degree == 0) {
-      return {TrialOutcome::kNoEdges, 0, 0.0f, 0};
-    }
-    if (!dynamic_) {
-      // Static walk: Ps-proportional draw, always accepted.
-      if (CandidateWidth(v) <= 0.0) {
-        return {TrialOutcome::kNoEdges, 0, 0.0f, 0};
-      }
-      stats.trials += 1;
-      stats.trial_accepts += 1;
-      return {TrialOutcome::kAccept, SampleCandidate(v, w.rng), 0.0f, 0};
-    }
-
-    real_t q = upper_[v];
-    double width = CandidateWidth(v);
-    if (q <= 0.0f || width <= 0.0) {
-      return {TrialOutcome::kNoEdges, 0, 0.0f, 0};
-    }
-    double board = static_cast<double>(q) * width;
-
-    // Outlier appendix blocks (Figure 3b).
-    double appendix_block = 0.0;
-    uint32_t outlier_count = 0;
-    if (transition_->outlier_bound) {
-      OutlierBound ob = transition_->outlier_bound(w, v);
-      if (ob.count > 0 && ob.height > q) {
-        outlier_count = ob.count;
-        appendix_block = static_cast<double>(ob.height - q) *
-                         static_cast<double>(CandidateMaxWeight(v));
-      }
-    }
-
-    stats.trials += 1;
-    double x = w.rng.NextDouble(board + appendix_block * outlier_count);
-    if (x >= board) {
-      // Dart landed in an appendix: locate the outlier and correct.
-      stats.outlier_hits += 1;
-      auto k = static_cast<uint32_t>((x - board) / appendix_block);
-      k = std::min(k, outlier_count - 1);
-      std::optional<vertex_id_t> idx = transition_->outlier_locate(w, v, k);
-      if (!idx.has_value()) {
-        stats.trial_rejects += 1;
-        return {TrialOutcome::kReject, 0, 0.0f, 0};
-      }
-      const AdjT& edge = NeighborsOf(v)[*idx];
-      stats.pd_computations += 1;
-      real_t pd = transition_->dynamic_comp(w, v, edge, std::nullopt);
-      double chopped =
-          std::max(0.0, static_cast<double>(pd) - static_cast<double>(q)) *
-          static_cast<double>(PsOf(v, edge));
-      if (w.rng.NextDouble(appendix_block) < chopped) {
-        stats.trial_accepts += 1;
-        return {TrialOutcome::kAccept, *idx, 0.0f, 0};
-      }
-      stats.trial_rejects += 1;
-      return {TrialOutcome::kReject, 0, 0.0f, 0};
-    }
-
-    vertex_id_t candidate = SampleCandidate(v, w.rng);
-    real_t y = static_cast<real_t>(w.rng.NextDouble(q));
-    if (!lower_.empty() && y < lower_[v]) {
-      stats.pre_accepts += 1;
-      stats.trial_accepts += 1;
-      return {TrialOutcome::kAccept, candidate, y, 0};
-    }
-    const AdjT& edge = NeighborsOf(v)[candidate];
-    if (second_order_) {
-      std::optional<vertex_id_t> target = transition_->post_query(w, v, edge);
-      if (target.has_value()) {
-        // Neither accepted nor rejected yet: counted when the parked trial
-        // resolves (locally below, or in phase C after the response).
-        return {TrialOutcome::kNeedQuery, candidate, y, *target};
-      }
-    }
-    stats.pd_computations += 1;
-    real_t pd = transition_->dynamic_comp(w, v, edge, std::nullopt);
-    bool accept = y < pd;
-    (accept ? stats.trial_accepts : stats.trial_rejects) += 1;
-    return {accept ? TrialOutcome::kAccept : TrialOutcome::kReject, candidate, y, 0};
-  }
-
-  // Exact fallback after repeated rejections (lockstep mode only): one full
-  // scan computing Ps * Pd for every out-edge, then an inverse-transform
-  // draw. Still exact; returns nullopt when no edge is eligible.
-  std::optional<vertex_id_t> FallbackScan(WalkerT& w, SamplingStats& stats) {
-    vertex_id_t v = w.cur;
-    auto neighbors = NeighborsOf(v);
-    stats.fallback_scans += 1;
-    stats.pd_computations += neighbors.size();
-    double total = 0.0;
-    scan_buffer_tl().resize(neighbors.size());
-    auto& buf = scan_buffer_tl();
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      real_t pd = transition_->dynamic_comp(w, v, neighbors[i], std::nullopt);
-      total += static_cast<double>(PsOf(v, neighbors[i])) * static_cast<double>(pd);
-      buf[i] = total;
-    }
-    if (total <= 0.0) {
-      return std::nullopt;
-    }
-    double r = w.rng.NextDouble(total);
-    auto it = std::upper_bound(buf.begin(), buf.end(), r);
-    if (it == buf.end()) {
-      --it;
-    }
-    return static_cast<vertex_id_t>(it - buf.begin());
-  }
-
-  static std::vector<double>& scan_buffer_tl() {
-    thread_local std::vector<double> buf;
-    return buf;
-  }
-
-  // Commits a successful trial: advances the walker over edge `candidate`
-  // and routes it (or retires it).
-  void CommitMove(WalkerT& w, vertex_id_t candidate, node_rank_t src_node, Scratch& scratch) {
-    const AdjT& edge = NeighborsOf(w.cur)[candidate];
-    vertex_id_t from = w.cur;
-    w.prev = w.cur;
-    w.cur = edge.neighbor;
-    w.step += 1;
-    if (transition_->on_move) {
-      transition_->on_move(w, from, edge);
-    }
-    scratch.stats.steps += 1;
-    if (options_.collect_paths) {
-      scratch.paths.push_back({w.id, w.step, w.cur});
-    }
-    if (ArrivalTerminates(w)) {
-      return;
-    }
-    node_rank_t dst_node = partition_.OwnerOf(w.cur);
-    if (dst_node == src_node && !reliable_) {
-      // Local landing, fault-free: skip the mailbox round trip. The walker
-      // joins next_active through the same merge as stay-put walkers; walk
-      // output is order-independent (per-walker RNG streams).
-      scratch.stay.push_back(std::move(w));
-      return;
-    }
-    if (dst_node != src_node) {
-      scratch.stats.walker_moves_remote += 1;
-    }
-    if (reliable_ && (dst_node != src_node || include_local_faults_)) {
-      // Keep a copy until the receiver acknowledges; retransmitted verbatim
-      // on timeout, so a recovered walker continues its exact RNG stream.
-      scratch.tracked.push_back(InFlightMove{w, dst_node, 0, 0});
-    }
-    scratch.moves[dst_node].push_back(std::move(w));
-  }
-
-  // Lockstep step: retries trials until acceptance (bounded, then exact
-  // fallback). Every surviving walker advances exactly one step.
-  void LockstepWalk(WalkerT& w, node_rank_t node_rank, Scratch& scratch) {
-    for (uint32_t t = 0; t < kMaxTrialsPerStep; ++t) {
-      TrialResult r = RunTrial(w, scratch.stats);
-      switch (r.outcome) {
-        case TrialOutcome::kAccept:
-          CommitMove(w, r.candidate, node_rank, scratch);
-          return;
-        case TrialOutcome::kNoEdges:
-          return;  // walk ends: no eligible out-edge
-        case TrialOutcome::kReject:
-          continue;
-        case TrialOutcome::kNeedQuery:
-          KK_CHECK(false);  // lockstep mode is never second-order
-      }
-    }
-    std::optional<vertex_id_t> exact = FallbackScan(w, scratch.stats);
-    if (exact.has_value()) {
-      CommitMove(w, *exact, node_rank, scratch);
-    }
-  }
-
-  // Second-order step: exactly one trial; local queries are answered
-  // immediately, remote ones park the walker (see NodeState::parked).
-  void SecondOrderTrial(WalkerT& w, node_rank_t node_rank, Scratch& scratch) {
-    TrialResult r = RunTrial(w, scratch.stats);
-    switch (r.outcome) {
-      case TrialOutcome::kAccept:
-        CommitMove(w, r.candidate, node_rank, scratch);
-        return;
-      case TrialOutcome::kNoEdges:
-        return;
-      case TrialOutcome::kReject:
-        scratch.stay.push_back(std::move(w));
-        return;
-      case TrialOutcome::kNeedQuery:
-        break;
-    }
-    const AdjT& edge = NeighborsOf(w.cur)[r.candidate];
-    vertex_id_t subject = edge.neighbor;
-    if (partition_.OwnerOf(r.query_target) == node_rank) {
-      // Local-answer fast path: the queried vertex lives here.
-      scratch.stats.queries_local += 1;
-      QueryResponse resp = transition_->respond_query(graph_, r.query_target, subject);
-      scratch.stats.pd_computations += 1;
-      real_t pd = transition_->dynamic_comp(w, w.cur, edge, resp);
-      if (r.y < pd) {
-        scratch.stats.trial_accepts += 1;
-        CommitMove(w, r.candidate, node_rank, scratch);
-      } else {
-        scratch.stats.trial_rejects += 1;
-        scratch.stay.push_back(std::move(w));
-      }
-      return;
-    }
-    scratch.stats.queries_remote += 1;
-    PendingTrial pending;
-    pending.candidate = r.candidate;
-    pending.y = r.y;
-    pending.query_target = r.query_target;
-    pending.epoch = superstep_;
-    // The slot is scratch-local here; MergeScratch rebases it to the node's
-    // parked vector.
-    auto slot = static_cast<uint32_t>(scratch.pending_trials.size());
-    scratch.queries[partition_.OwnerOf(r.query_target)].push_back(
-        {w.id, r.query_target, subject, node_rank, slot, superstep_});
-    pending.walker = std::move(w);
-    scratch.pending_trials.push_back(std::move(pending));
-  }
-
-  // Phase C under faults: moves unanswered trials to the front of `trials`
-  // (index == new slot; order is unobservable) and ages them. One that is
-  // kRetryTimeout supersteps past its latest issue is re-issued under a fresh
-  // epoch, so no answer to an older issue can match it. Returns how many wait.
+  void PrefetchedRun(size_t begin, size_t end, const CurFn& cur_of, const BodyFn& body) const;
+  TrialResult RunTrial(WalkerT& w, SamplingStats& stats);
+  std::optional<vertex_id_t> FallbackScan(WalkerT& w, SamplingStats& stats);
+  void CommitMove(WalkerT& w, vertex_id_t candidate, node_rank_t src_node, Scratch& scratch);
+  void LockstepWalk(WalkerT& w, node_rank_t node_rank, Scratch& scratch);
+  void SecondOrderTrial(WalkerT& w, node_rank_t node_rank, Scratch& scratch);
   size_t RequeueUnanswered(NodeState& node, node_rank_t n, std::vector<PendingTrial>& trials,
-                           SamplingStats& delta) {
-    auto answered = std::partition(trials.begin(), trials.end(),
-                                   [](const PendingTrial& t) { return !t.responded; });
-    const auto waiting = static_cast<size_t>(answered - trials.begin());
-    for (uint32_t slot = 0; slot < waiting; ++slot) {
-      PendingTrial& trial = trials[slot];
-      if (++trial.age < kRetryTimeout) {
-        continue;
-      }
-      KK_CHECK(trial.retries < kMaxRetries);
-      trial.retries += 1;
-      trial.age = 0;
-      trial.epoch = superstep_ + 1;  // the re-issue is exchanged next superstep
-      delta.query_retries += 1;
-      vertex_id_t subject = NeighborsOf(trial.walker.cur)[trial.candidate].neighbor;
-      node.requery_out[partition_.OwnerOf(trial.query_target)].push_back(
-          QueryMsg{trial.walker.id, trial.query_target, subject, n, slot, trial.epoch});
-    }
-    for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-      query_mail_->Post(n, dst, std::move(node.requery_out[dst]));
-      node.requery_out[dst].clear();
-    }
-    return waiting;
-  }
+                           SamplingStats& delta);
 
   // Merges chunk-local results into node state and flushes every outbound
   // buffer as one batch Post per destination (one channel lock per batch,
@@ -1729,10 +808,8 @@ class WalkEngine {
         }
       }
     }
-    for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-      query_mail_->Post(node_rank, dst, std::move(scratch.queries[dst]));
-      walker_mail_->Post(node_rank, dst, std::move(scratch.moves[dst]));
-    }
+    query_mail_->PostAll(node_rank, scratch.queries);
+    walker_mail_->PostAll(node_rank, scratch.moves);
   }
 
   // Runs fn(node_rank) for every logical node, concurrently when
@@ -1757,146 +834,11 @@ class WalkEngine {
     }
   }
 
-  // One node's sections of a snapshot, as LoadCheckpoint reads them.
-  struct NodeSnapshot {
-    SamplingStats stats;
-    std::vector<WalkerT> active;
-    std::vector<PendingTrial> parked;
-    std::vector<InFlightMove> unacked;
-    std::vector<PathEntry> path_log;
-  };
-
-  // The trailer proves a snapshot intact, not that this engine wrote it: every
-  // walker id, vertex, edge index and node rank later code indexes with must
-  // be in range, and the per-walker keys of the parked and unacknowledged
-  // sections must not repeat.
-  bool SnapshotContentValid(const NodeSnapshot& ns) const {
-    const vertex_id_t num_v = graph_.num_vertices();
-    auto walker_ok = [&](const WalkerT& w) { return w.id < num_walkers_ && w.cur < num_v; };
-    auto trial_ok = [&](const PendingTrial& t) {
-      return walker_ok(t.walker) && t.candidate < graph_.OutDegree(t.walker.cur);
-    };
-    auto move_ok = [&](const InFlightMove& m) {
-      return walker_ok(m.walker) && m.dst < options_.num_nodes;
-    };
-    auto entry_ok = [&](const PathEntry& e) { return e.walker < num_walkers_; };
-    auto keys_unique = [](const auto& records) {
-      std::vector<walker_id_t> ids;
-      for (const auto& record : records) {
-        ids.push_back(record.walker.id);
-      }
-      std::ranges::sort(ids);
-      return std::ranges::adjacent_find(ids) == ids.end();
-    };
-    return std::ranges::all_of(ns.active, walker_ok) && std::ranges::all_of(ns.parked, trial_ok) &&
-           std::ranges::all_of(ns.unacked, move_ok) && std::ranges::all_of(ns.path_log, entry_ok) &&
-           keys_unique(ns.parked) && keys_unique(ns.unacked);
-  }
-
-  // Serializes the current top-of-loop state to options_.checkpoint_path.
-  // The cut is exact: active walkers, parked second-order trials (only under
-  // faults), unacknowledged in-flight copies, path logs, per-node stats,
-  // plus the driver's dedup/progress state. Mailbox buffers are not part of
-  // the snapshot — undelivered retransmits and re-queries are regenerated by
-  // the reliability protocol's timeout machinery after a restore, and
-  // receiver-side dedup keeps the walk output byte-identical regardless.
-  // A checkpoint that cannot be written aborts the run: silently skipping it
-  // would void the recovery guarantee the caller asked for.
-  void SaveCheckpoint() {
-    static_assert(std::is_trivially_copyable_v<WalkerT>);
-    static_assert(std::is_trivially_copyable_v<PendingTrial>);
-    static_assert(std::is_trivially_copyable_v<InFlightMove>);
-    static_assert(std::is_trivially_copyable_v<PathEntry>);
-    static_assert(std::is_trivially_copyable_v<SamplingStats>);
-    Timer timer;
-    obs::StageTimer span(options_.trace, "checkpoint", 0, superstep_);
-    const std::string tmp = options_.checkpoint_path + ".tmp";
-    BinaryFileWriter w(tmp);
-    KK_CHECK_MSG(w.ok(), "cannot open checkpoint tmp file %s", tmp.c_str());
-    CheckpointHeader h;
-    h.num_nodes = options_.num_nodes;
-    h.seed = options_.seed;
-    h.superstep = superstep_;
-    h.num_walkers = num_walkers_;
-    h.walker_bytes = sizeof(WalkerT);
-    h.pending_bytes = sizeof(PendingTrial);
-    h.inflight_bytes = sizeof(InFlightMove);
-    h.pathentry_bytes = sizeof(PathEntry);
-    if (mutating_) {
-      h.mutation_batches = mutation_cursor_;
-      h.mutation_hash = options_.mutation_log->PrefixHash(mutation_cursor_);
-    }
-    WriteCheckpointHeader(w, h);
-    w.WriteVec(walker_progress_);
-    w.WriteVec(active_history_);
-    std::vector<PendingTrial> parked_sorted;
-    std::vector<InFlightMove> inflight_sorted;
-    for (auto& node : nodes_) {
-      MutexLock lock(node->merge_mutex);  // top-of-loop barrier, uncontended
-      w.Write(static_cast<uint64_t>(sizeof(SamplingStats)));
-      w.WriteBytes(&node->stats, sizeof(SamplingStats));
-      w.WriteVec(node->active);
-      // Only the parked and in-flight sections are canonical (sorted by
-      // walker id, so they do not reflect merge order or hash-map layout).
-      // The active and path_log sections keep merge order; recovery does
-      // not depend on it, since every walker carries its own RNG stream and
-      // path assembly places entries by (walker, step).
-      parked_sorted.assign(node->parked.begin(), node->parked.end());
-      std::ranges::sort(parked_sorted, kByWalkerId);
-      w.WriteVec(parked_sorted);
-      inflight_sorted.clear();
-      inflight_sorted.reserve(node->in_flight.size());
-      // kk-lint: nondeterministic-order-ok
-      for (const auto& kv : node->in_flight) {
-        inflight_sorted.push_back(kv.second);
-      }
-      std::ranges::sort(inflight_sorted, kByWalkerId);
-      w.WriteVec(inflight_sorted);
-      w.WriteVec(node->path_log);
-    }
-    w.Write(w.checksum());
-    uint64_t bytes = w.bytes_written();
-    KK_CHECK_MSG(w.Close(), "checkpoint write to %s failed", tmp.c_str());
-    KK_CHECK_MSG(CommitFile(tmp, options_.checkpoint_path),
-                 "cannot commit checkpoint to %s", options_.checkpoint_path.c_str());
-    ckpt_stats_.checkpoints += 1;
-    ckpt_stats_.checkpoint_bytes += bytes;
-    ckpt_stats_.checkpoint_micros += static_cast<uint64_t>(timer.Seconds() * 1e6);
-  }
-
-  // Simulated whole-node failure: node `rank` loses all volatile state, and
-  // the cluster performs a coordinated rollback — every node (not just the
-  // crashed one) reloads the last committed snapshot and the superstep loop
-  // resumes from the restored cut. In-transit messages are wiped with the
-  // node; the reliability protocol regenerates them. Mailbox fault epochs are
-  // deliberately NOT rewound, so the injector may deal the replayed
-  // supersteps a different fault schedule — the protocol makes walk output
-  // invariant to that too, which is exactly what the recovery tests assert.
-  void RecoverFromCrash(node_rank_t rank) {
-    KK_CHECK_MSG(options_.checkpoint_every > 0,
-                 "node crash fired with checkpointing disabled");
-    KK_CHECK(rank < options_.num_nodes);
-    obs::StageTimer span(options_.trace, "recover", 0, superstep_);
-    NodeState& crashed = *nodes_[rank];
-    {
-      MutexLock lock(crashed.merge_mutex);  // no phase in flight during recovery
-      crashed.active.clear();
-      crashed.next_active.clear();
-      crashed.parked.clear();
-      crashed.in_flight.clear();
-      crashed.path_log.clear();
-      crashed.stats = SamplingStats{};
-    }
-    walker_mail_->Wipe();
-    query_mail_->Wipe();
-    response_mail_->Wipe();
-    ack_mail_->Wipe();
-    KK_CHECK_MSG(LoadCheckpoint(options_.checkpoint_path),
-                 "cannot restore checkpoint %s after node %u crash",
-                 options_.checkpoint_path.c_str(), static_cast<unsigned>(rank));
-    ckpt_stats_.recoveries += 1;
-    span.set_iteration(superstep_);  // the restored superstep
-  }
+  // ---- Checkpoint save, validation and recovery (engine_checkpoint.h) ----
+  struct NodeSnapshot;
+  bool SnapshotContentValid(const NodeSnapshot& ns) const;
+  void SaveCheckpoint();
+  void RecoverFromCrash(node_rank_t rank);
 
   // One BSP superstep. Phase A samples; a second-order walk then delivers
   // its state queries (phase B) and resolves the parked trials with the
@@ -1970,12 +912,10 @@ class WalkEngine {
         for (size_t i = begin; i < end; ++i) {
           const QueryMsg& q = inbox[i];
           KK_DCHECK(partition_.Owns(n, q.target));
-          QueryResponse payload = transition_->respond_query(graph_, q.target, q.subject);
+          QueryResponse payload = transition_->respond_query(graph_.csr(), q.target, q.subject);
           scratch->responses[q.origin].push_back({q.walker, q.epoch, q.slot, payload});
         }
-        for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-          response_mail_->Post(n, dst, std::move(scratch->responses[dst]));
-        }
+        response_mail_->PostAll(n, scratch->responses);
         ReleaseScratch(node, std::move(scratch));
       });
       inbox.clear();
@@ -2033,7 +973,7 @@ class WalkEngine {
             [&](size_t i) {
               PendingTrial& trial = trials[i];
               WalkerT& w = trial.walker;
-              const AdjT& edge = NeighborsOf(w.cur)[trial.candidate];
+              const AdjT& edge = graph_.NeighborsOf(w.cur)[trial.candidate];
               scratch->stats.pd_computations += 1;
               real_t pd = transition_->dynamic_comp(w, w.cur, edge, trial.response);
               if (trial.y < pd) {
@@ -2093,10 +1033,7 @@ class WalkEngine {
           walker_progress_[w.id] = w.step;
           node.next_active.push_back(std::move(w));
         }
-        for (node_rank_t dst = 0; dst < num_nodes; ++dst) {
-          ack_mail_->Post(n, dst, std::move(ack_out_[dst]));
-          ack_out_[dst].clear();
-        }
+        ack_mail_->PostAll(n, ack_out_);
       }
       inbox.clear();
       node.active = std::move(node.next_active);
@@ -2131,17 +1068,14 @@ class WalkEngine {
             retransmit_out_[fl.dst].push_back(fl.walker);
           }
         }
-        for (node_rank_t dst = 0; dst < num_nodes; ++dst) {
-          walker_mail_->Post(n, dst, std::move(retransmit_out_[dst]));
-          retransmit_out_[dst].clear();
-        }
+        walker_mail_->PostAll(n, retransmit_out_);
         node.stats.Merge(ack_delta);
         node.obs.MergeStats(obs::Phase::kExchange, ack_delta);
       }
     }
   }
 
-  Csr<EdgeData> graph_;
+  MutableGraph<EdgeData> graph_;
   WalkEngineOptions options_;
   Partition partition_;
   // Cache geometry detected once per engine; the kAuto grouping heuristic
@@ -2163,22 +1097,6 @@ class WalkEngine {
   bool static_prepared_ = false;
   std::vector<real_t> upper_;
   std::vector<real_t> lower_;
-  // ---- Streaming mutations (docs/DYNAMIC_GRAPHS.md) ----
-  // Pristine base CSR captured when the mutation log attaches: the replay
-  // origin recovery re-derives any merged graph from.
-  Csr<EdgeData> pristine_graph_;
-  DeltaStore<EdgeData> delta_;
-  DynamicSamplerOverlay overlay_;
-  // Overlay sampler bytes per row as of this superstep's top-of-loop barrier
-  // (EstimatedBatchTouchedBytes reads it; only batch order depends on it).
-  uint64_t overlay_row_bytes_ = 0;
-  std::vector<real_t> ps_row_buffer_;  // driver-only scratch for row builds
-  size_t mutation_cursor_ = 0;         // log batches applied (checkpoint cut)
-  uint64_t merges_ = 0;
-  uint64_t merge_micros_ = 0;  // wall-clock in MergeOverlay (unstable metric)
-  MutationCounters folded_;  // counters folded out of overlay resets at merge
-  bool mutating_ = false;
-  bool weighted_ = false;
   std::vector<uint64_t> active_history_;
   EnginePhaseTimes phase_times_;
   CheckpointStats ckpt_stats_;
@@ -2201,5 +1119,10 @@ class WalkEngine {
 };
 
 }  // namespace knightking
+
+// Out-of-line members (trial kernels, checkpoint code, metrics export).
+#include "src/engine/engine_checkpoint.h"
+#include "src/engine/engine_metrics.h"
+#include "src/engine/trial_kernels.h"
 
 #endif  // SRC_ENGINE_WALK_ENGINE_H_

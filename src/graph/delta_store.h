@@ -1,5 +1,5 @@
 // Streaming graph mutations: the edge delta overlay and the mutation log
-// (ROADMAP item 2, Bingo direction — see docs/DYNAMIC_GRAPHS.md).
+// (Bingo direction; docs/DYNAMIC_GRAPHS.md, "Why an overlay, not a mutable CSR").
 //
 // The base CSR stays immutable; mutations (insert / delete / reweight)
 // materialize a per-vertex overlay row on first touch and edit it in place.
@@ -189,28 +189,17 @@ class DeltaStore {
     rows_.clear();
     stats_ = Stats{};
     delta_mutations_ = 0;
-    overlay_adj_bytes_ = 0;
     pending_merge_ = false;
   }
 
   bool attached() const { return base_ != nullptr; }
-  const Csr<EdgeData>& base() const { return *base_; }
 
   bool IsDirty(vertex_id_t v) const { return slot_[v] != kInvalidSlot; }
-  size_t NumDirtyRows() const { return rows_.size(); }
   const Stats& stats() const { return stats_; }
 
   // Mutations currently absorbed by the overlay (resets on merge): the
   // graph.delta_edges gauge.
   uint64_t DeltaMutations() const { return delta_mutations_; }
-
-  // Adjacency bytes held by overlay rows — the ShouldSortBatch estimator's
-  // view of how much hotter a dirty row is than its base-CSR footprint.
-  uint64_t OverlayAdjBytes() const { return overlay_adj_bytes_; }
-
-  uint64_t BytesPerDirtyRow() const {
-    return rows_.empty() ? 0 : overlay_adj_bytes_ / rows_.size();
-  }
 
   // True once any row's absorbed-mutation count reached `merge_threshold`
   // passed to Apply. The engine merges at the next batch boundary.
@@ -242,7 +231,6 @@ class DeltaStore {
     for (size_t i = 0; i < row.adj.size(); ++i) {
       row.index_of[row.adj[i].neighbor] = static_cast<vertex_id_t>(i);
     }
-    overlay_adj_bytes_ += row.adj.size() * sizeof(AdjUnit<EdgeData>);
     ++stats_.rows_materialized;
   }
 
@@ -268,7 +256,6 @@ class DeltaStore {
         edit.local_index = static_cast<vertex_id_t>(row.adj.size());
         row.adj.push_back(unit);
         row.index_of[m.dst] = edit.local_index;
-        overlay_adj_bytes_ += sizeof(AdjUnit<EdgeData>);
         ++stats_.inserted;
         break;
       }
@@ -290,7 +277,6 @@ class DeltaStore {
           row.index_of[row.adj[i].neighbor] = i;
         }
         row.adj.pop_back();
-        overlay_adj_bytes_ -= sizeof(AdjUnit<EdgeData>);
         ++stats_.removed;
         break;
       }
@@ -352,11 +338,7 @@ class DeltaStore {
         }
       }
     };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->ParallelFor(n, BuildChunkSize(n, pool->num_workers()), fill_rows);
-    } else {
-      fill_rows(0, n);
-    }
+    ParallelFill(pool, n, fill_rows);
     return Csr<EdgeData>::FromParts(std::move(offsets), std::move(adj));
   }
 
@@ -391,7 +373,6 @@ class DeltaStore {
   std::vector<OverlayRow> rows_;
   Stats stats_;
   uint64_t delta_mutations_ = 0;
-  uint64_t overlay_adj_bytes_ = 0;
   bool pending_merge_ = false;
 };
 

@@ -97,12 +97,7 @@ class FlatItsTables {
         max_weight_[v] = max_w;
       }
     };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->ParallelFor(num_vertices, BuildChunkSize(num_vertices, pool->num_workers()),
-                        build_rows);
-    } else {
-      build_rows(0, num_vertices);
-    }
+    ParallelFill(pool, num_vertices, build_rows);
   }
 
   vertex_id_t Sample(vertex_id_t v, Rng& rng) const {

@@ -71,11 +71,7 @@ class StaticSamplerSet {
         }
       }
     };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->ParallelFor(num_v, BuildChunkSize(num_v, pool->num_workers()), fill);
-    } else {
-      fill(0, num_v);
-    }
+    ParallelFill(pool, num_v, fill);
     if (kind_ == StaticSamplerKind::kAlias) {
       alias_.Build(offsets, weights, pool);
     } else {

@@ -1,5 +1,5 @@
 // Bingo-style power-of-two weight-class sampling for mutable rows
-// (ROADMAP item 2; see docs/DYNAMIC_GRAPHS.md).
+// (docs/DYNAMIC_GRAPHS.md, "Weight-class sampler rows").
 //
 // A LazyAliasRow buckets a row's edges by floor(log2(weight)): class c holds
 // weights in [2^(e_c), 2^(e_c+1)). Sampling picks a class by a CDF walk over
@@ -34,9 +34,9 @@
 
 namespace knightking {
 
-// Lazy per-class alias row: Bingo's radix bias factorization (ROADMAP item
-// 2), the sampler behind every weighted dirty row. It does the minimum work
-// each event actually needs:
+// Lazy per-class alias row: Bingo's radix bias factorization, the sampler
+// behind every weighted dirty row. It does the minimum work each event
+// actually needs:
 //
 //   * Build() is one O(degree) summary pass — per-class counts and weight
 //     totals plus a per-edge class tag. No item lists, no alias tables.
@@ -192,17 +192,6 @@ class LazyAliasRow {
 
   // Class materializations + alias rebuilds performed by samples so far.
   uint64_t bucket_builds() const { return bucket_builds_.load(std::memory_order_relaxed); }
-
-  uint64_t MemoryBytes() const {
-    uint64_t bytes = sizeof(*this);
-    for (const ClassBucket& cb : classes_) {
-      bytes += sizeof(ClassBucket) + cb.items.capacity() * sizeof(uint32_t) +
-               cb.prob.capacity() * sizeof(real_t) + cb.alias.capacity() * sizeof(uint32_t);
-    }
-    bytes += class_of_.capacity() * sizeof(int8_t);
-    bytes += weight_of_.capacity() * sizeof(real_t);
-    return bytes;
-  }
 
  private:
   struct ClassBucket {
@@ -374,7 +363,6 @@ class DynamicSamplerOverlay {
   double TotalWeight(vertex_id_t v) const { return Row(v).total_weight(); }
   real_t MaxWeight(vertex_id_t v) const { return Row(v).max_weight(); }
 
-  size_t NumRows() const { return rows_.size(); }
   uint64_t full_builds() const { return full_builds_; }
   uint64_t incremental_updates() const { return incremental_updates_; }
   uint64_t bucket_builds() const {
@@ -383,16 +371,6 @@ class DynamicSamplerOverlay {
       total += row->bucket_builds();
     }
     return total;
-  }
-
-  // Bytes held by the rows, summed. Excludes the per-vertex slot index: it
-  // scales with the graph, not with the number of dirty rows.
-  uint64_t RowBytes() const {
-    uint64_t bytes = 0;
-    for (const auto& r : rows_) {
-      bytes += r->MemoryBytes();
-    }
-    return bytes;
   }
 
  private:

@@ -83,6 +83,18 @@ class ThreadPool {
   bool shutting_down_ KK_GUARDED_BY(mutex_) = false;
 };
 
+// Runs fn(begin, end) over [0, total) on `pool` in BuildChunkSize chunks
+// (inline when pool is null or has no workers). fn must write disjoint
+// slices only.
+template <typename Fn>
+void ParallelFill(ThreadPool* pool, size_t total, const Fn& fn) {
+  if (pool == nullptr || pool->num_workers() == 0 || total == 0) {
+    fn(0, total);
+    return;
+  }
+  pool->ParallelFor(total, BuildChunkSize(total, pool->num_workers()), fn);
+}
+
 }  // namespace knightking
 
 #endif  // SRC_UTIL_THREAD_POOL_H_

@@ -649,54 +649,6 @@ TEST(IncrementalSamplerTest, AliasModeBuildsSummariesEagerlyBucketsLazily) {
   EXPECT_LE(mc.bucket_builds, 4u);
 }
 
-TEST(IncrementalSamplerTest, TouchedBytesEstimateGrowsWithDeltaRows) {
-  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
-  auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
-  WalkEngineOptions opts = BaseOptions(2, 0);
-  WalkEngine<WeightedEdgeData> clean(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
-  clean.Run(DeepWalkTransition<WeightedEdgeData>(), DeepWalkWalkers(40, {.walk_length = 6}));
-  uint64_t clean_estimate = clean.EstimatedBatchTouchedBytes(64);
-
-  MutationLog log = BuildSchedule(csr);
-  WalkEngineOptions mopts = BaseOptions(2, 0);
-  mopts.mutation_log = &log;
-  WalkEngine<WeightedEdgeData> mutated(Csr<WeightedEdgeData>::FromEdgeList(edges), mopts);
-  mutated.Run(DeepWalkTransition<WeightedEdgeData>(),
-              DeepWalkWalkers(40, {.walk_length = 6}));
-  // kAuto batch sorting must see the overlay rows + weight-class rows a
-  // mutated batch drags into cache, not just the flat per-vertex footprint.
-  EXPECT_GT(mutated.EstimatedBatchTouchedBytes(64), clean_estimate);
-}
-
-TEST(IncrementalSamplerTest, TouchedBytesMutationTermIgnoresVertexCount) {
-  // The same 200-vertex component, alone and padded with isolated vertices.
-  // Walkers start inside the component, so both graphs see the same walks,
-  // the same dirty rows and the same lazily built classes; only the
-  // per-vertex overlay index grows, and it is not per-row state.
-  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
-  MutationLog log = BuildSchedule(Csr<WeightedEdgeData>::FromEdgeList(edges));
-  WalkerSpec<> walkers = DeepWalkWalkers(40, {.walk_length = 6});
-  walkers.start_vertex = [](walker_id_t id, Rng&) -> vertex_id_t {
-    return static_cast<vertex_id_t>(id % 200);
-  };
-  auto mutation_term = [&](vertex_id_t num_vertices) {
-    EdgeList<WeightedEdgeData> padded = edges;
-    padded.num_vertices = num_vertices;
-    WalkEngine<WeightedEdgeData> clean(Csr<WeightedEdgeData>::FromEdgeList(padded),
-                                       BaseOptions(2, 0));
-    clean.Run(DeepWalkTransition<WeightedEdgeData>(), walkers);
-    WalkEngineOptions mopts = BaseOptions(2, 0);
-    mopts.mutation_log = &log;
-    WalkEngine<WeightedEdgeData> mutated(Csr<WeightedEdgeData>::FromEdgeList(padded), mopts);
-    mutated.Run(DeepWalkTransition<WeightedEdgeData>(), walkers);
-    EXPECT_EQ(mutated.mutation_counters().rows_materialized, 4u);
-    return mutated.EstimatedBatchTouchedBytes(64) - clean.EstimatedBatchTouchedBytes(64);
-  };
-  const uint64_t small = mutation_term(200);
-  EXPECT_GT(small, 0u);
-  EXPECT_EQ(mutation_term(40000), small);
-}
-
 // ---------------------------------------------------------------------------
 // Distribution correctness over a mutated row.
 // ---------------------------------------------------------------------------
