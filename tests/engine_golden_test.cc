@@ -3,6 +3,9 @@
 // to a walk byte (trial arithmetic, RNG consumption order, mutation replay,
 // fault recovery) or to the snapshot layout fails here, so a refactor that
 // claims to move code without changing behaviour can be checked against it.
+// The PPR and faulted node2vec cases also pin the driver's counters (stats,
+// active history, cross-node traffic, per-node phase stats), so a superstep
+// driver that drops a merge or miscounts a message fails too.
 //
 // Path hashes are independent of the worker count (each walker carries its
 // own RNG stream), so those tests take KK_SIM_WORKERS like the rest of the
@@ -26,6 +29,7 @@
 #include "src/graph/csr.h"
 #include "src/graph/delta_store.h"
 #include "src/graph/generators.h"
+#include "src/obs/counters.h"
 #include "src/testing/fault_injector.h"
 
 namespace knightking {
@@ -64,6 +68,42 @@ uint64_t FlatPathsHash(EngineT& engine) {
   EXPECT_GT(flat.vertices.size(), flat.num_paths());
   const uint64_t h = Fnv1a64(flat.offsets.data(), flat.offsets.size() * sizeof(uint64_t));
   return Fnv1a64(flat.vertices.data(), flat.vertices.size() * sizeof(vertex_id_t), h);
+}
+
+// Hashes of the counters a Run leaves behind. `core` covers the returned
+// SamplingStats, active_history() and the cross-node message and byte
+// totals; `phases` covers every node's per-phase stats, which only a KK_OBS
+// build keeps.
+struct CounterHashes {
+  uint64_t core = 0;
+  uint64_t phases = 0;
+};
+
+template <typename EngineT>
+CounterHashes CountersHash(const EngineT& engine, const SamplingStats& stats) {
+  auto add = [](uint64_t& hash, uint64_t v) { hash = Fnv1a64(&v, sizeof(v), hash); };
+  CounterHashes h{Fnv1a64(nullptr, 0), Fnv1a64(nullptr, 0)};
+  stats.ForEachField([&](const char*, uint64_t v) { add(h.core, v); });
+  add(h.core, engine.active_history().size());
+  for (uint64_t active : engine.active_history()) {
+    add(h.core, active);
+  }
+  add(h.core, engine.cross_node_messages());
+  add(h.core, engine.cross_node_bytes());
+  for (node_rank_t n = 0; n < engine.options().num_nodes; ++n) {
+    for (size_t p = 0; p < obs::kNumPhases; ++p) {
+      engine.node_observability(n).Stats(static_cast<obs::Phase>(p)).ForEachField(
+          [&](const char*, uint64_t v) { add(h.phases, v); });
+    }
+  }
+  return h;
+}
+
+void ExpectCounters(const CounterHashes& h, uint64_t core, uint64_t phases) {
+  EXPECT_EQ(h.core, core) << std::hex << "counters hash 0x" << h.core;
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(h.phases, phases) << std::hex << "phase stats hash 0x" << h.phases;
+  }
 }
 
 EdgeMutation Ins(vertex_id_t src, vertex_id_t dst, real_t w) {
@@ -125,6 +165,7 @@ TEST(EngineGoldenTest, Node2VecUnderFaultsMatchesRecordedHash) {
   EXPECT_GT(stats.queries_remote, 0u);
   EXPECT_GT(stats.outlier_hits, 0u);
   EXPECT_GT(injector.counters().dropped, 0u);
+  ExpectCounters(CountersHash(engine, stats), 0x461843c8a7d01691ULL, 0xd4aba7ae6d34e5ebULL);
   const uint64_t hash = FlatPathsHash(engine);
   EXPECT_EQ(hash, 0x386f4769f907ea1bULL) << std::hex << "paths hash 0x" << hash;
 }
@@ -133,7 +174,9 @@ TEST(EngineGoldenTest, PprMatchesRecordedHash) {
   const auto edges = GenerateTruncatedPowerLaw(300, 2.2, 2, 40, 31);
   WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges),
                                    BaseOptions(WorkersFromEnv()));
-  engine.Run(PprTransition<EmptyEdgeData>(), PprWalkers(600, {.terminate_prob = 0.1}));
+  const SamplingStats stats =
+      engine.Run(PprTransition<EmptyEdgeData>(), PprWalkers(600, {.terminate_prob = 0.1}));
+  ExpectCounters(CountersHash(engine, stats), 0xd1d8defe43caf9e0ULL, 0x0da3e70201b122ffULL);
   const uint64_t hash = FlatPathsHash(engine);
   EXPECT_EQ(hash, 0xb79b8e473ad403b0ULL) << std::hex << "paths hash 0x" << hash;
 }
