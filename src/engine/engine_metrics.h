@@ -46,11 +46,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::ExportMetrics(
   out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
   out.SetGauge("engine.phase_seconds", with({{"phase", "exchange"}}), phase_times_.exchange);
   if (obs::kObsEnabled) {
-    // Scratch-pool reuse depends on worker-pool scheduling, so it is only
-    // a stable (run-to-run comparable) metric when chunks run inline.
-    const bool scratch_stable = options_.workers_per_node == 0;
     for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
-      MutexLock node_lock(nodes_[n]->merge_mutex);  // post-Run, uncontended
       const obs::PhaseAccumulator& acc = nodes_[n]->obs;
       obs::Labels node_label = {{"node", std::to_string(n)}};
       for (size_t p = 0; p < obs::kNumPhases; ++p) {
@@ -65,17 +61,10 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::ExportMetrics(
           }
         });
       }
-      out.AddCounter("engine.scratch_pool.hits", with(node_label), acc.scratch_hits,
-                     scratch_stable);
-      out.AddCounter("engine.scratch_pool.misses", with(node_label), acc.scratch_misses,
-                     scratch_stable);
       out.AddCounter("engine.batch_sorts", with(node_label), acc.batch_sorts);
     }
   }
   auto export_mailbox = [&](const char* name, const auto& mail) {
-    if (mail == nullptr) {
-      return;
-    }
     obs::Labels mail_label = {{"mailbox", name}};
     out.AddCounter("engine.mailbox.cross_node_messages", with(mail_label),
                    mail->cross_node_messages());

@@ -142,7 +142,6 @@ class MutableGraph {
 
   // Mutation-log batches applied so far (the checkpoint cursor).
   size_t batches_applied() const { return mutation_cursor_; }
-  void set_batches_applied(size_t count) { mutation_cursor_ = count; }
 
   // Wall-clock spent folding the overlay into fresh CSRs (all merges so far).
   uint64_t merge_micros() const { return merge_micros_; }

@@ -29,7 +29,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::PrefetchedRun(
 }
 
 // One rejection-sampling trial for walker w at w.cur. Counts stats into
-// `stats` (chunk-local).
+// `stats` (the lane's).
 template <typename EdgeData, typename WalkerState, typename QueryResponse>
 inline auto WalkEngine<EdgeData, WalkerState, QueryResponse>::RunTrial(
     WalkerT& w, SamplingStats& stats) -> TrialResult {
@@ -168,7 +168,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::CommitMove(
   node_rank_t dst_node = partition_.OwnerOf(w.cur);
   if (dst_node == src_node && !reliable_) {
     // Local landing, fault-free: skip the mailbox round trip. The walker
-    // joins next_active through the same merge as stay-put walkers; walk
+    // rejoins active through the same merge as stay-put walkers; walk
     // output is order-independent (per-walker RNG streams).
     scratch.stay.push_back(std::move(w));
     return;
@@ -250,7 +250,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::SecondOrderTrial(
   pending.y = r.y;
   pending.query_target = r.query_target;
   pending.epoch = superstep_;
-  // The slot is scratch-local here; MergeScratch rebases it to the node's
+  // The slot is lane-local here; MergeLanes rebases it to the node's
   // parked vector.
   auto slot = static_cast<uint32_t>(scratch.pending_trials.size());
   scratch.queries[partition_.OwnerOf(r.query_target)].push_back(

@@ -1,7 +1,7 @@
 // Compile-time-gated hot-path counters for the observability layer.
 //
 // The engine attributes its SamplingStats to BSP phases (per node) and counts
-// infrastructure events (scratch-pool reuse, locality sorts) through the
+// infrastructure events (locality sorts) through the
 // PhaseAccumulator defined here. The whole accumulator is guarded by the
 // KK_OBS compile gate: configuring with -DKK_OBS=OFF replaces it with an
 // empty struct whose methods are no-ops, so instrumented call sites compile
@@ -52,19 +52,16 @@ inline const char* PhaseName(Phase p) {
 #if KK_OBS
 
 // Per-node accumulator: phase-attributed sampling counters plus
-// infrastructure events. The engine merges chunk-local SamplingStats into it
-// under the node's existing merge lock (no extra synchronization on the hot
-// path), so the per-phase breakdown costs one extra Merge per chunk.
+// infrastructure events. The node's driver merges each lane's SamplingStats
+// into it once per phase, beside the node's total, so the per-phase
+// breakdown costs one extra Merge per lane and phase.
 struct PhaseAccumulator {
   SamplingStats phase_stats[kNumPhases];
-  uint64_t scratch_hits = 0;        // AcquireScratch served from the freelist
-  uint64_t scratch_misses = 0;      // AcquireScratch had to allocate
   uint64_t batch_sorts = 0;         // locality sorts over active batches
 
   void MergeStats(Phase p, const SamplingStats& s) {
     phase_stats[static_cast<size_t>(p)].Merge(s);
   }
-  void CountScratch(bool hit) { hit ? ++scratch_hits : ++scratch_misses; }
   void CountBatchSort() { ++batch_sorts; }
 
   SamplingStats Stats(Phase p) const { return phase_stats[static_cast<size_t>(p)]; }
@@ -73,8 +70,6 @@ struct PhaseAccumulator {
     for (size_t p = 0; p < kNumPhases; ++p) {
       phase_stats[p].Merge(other.phase_stats[p]);
     }
-    scratch_hits += other.scratch_hits;
-    scratch_misses += other.scratch_misses;
     batch_sorts += other.batch_sorts;
   }
 
@@ -88,12 +83,9 @@ struct PhaseAccumulator {
 // counters exist as static constexpr zeros so runtime-gated readers
 // (`if (obs::kObsEnabled)`) still compile without keeping any state.
 struct PhaseAccumulator {
-  static constexpr uint64_t scratch_hits = 0;
-  static constexpr uint64_t scratch_misses = 0;
   static constexpr uint64_t batch_sorts = 0;
 
   void MergeStats(Phase, const SamplingStats&) {}
-  void CountScratch(bool) {}
   void CountBatchSort() {}
   SamplingStats Stats(Phase) const { return SamplingStats{}; }
   void Merge(const PhaseAccumulator&) {}

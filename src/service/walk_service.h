@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -553,6 +552,15 @@ class WalkService {
     double finalize = 0.0;    // radix-sort-and-count answers, cache Put
   };
 
+  // A vertex's segment cursor within one query: the random base offset and
+  // how many of its segments the query consumed. Current only while
+  // `query` equals stitch_query_.
+  struct StitchCursor {
+    uint32_t query = 0;
+    uint32_t base = 0;
+    uint32_t used = 0;
+  };
+
   // One walk that ran out of index segments and needs a live remainder.
   struct LiveWalk {
     size_t work_idx = 0;       // into the batch's `work` vector
@@ -614,24 +622,31 @@ class WalkService {
     // base offset, then consecutive consumptions take consecutive segments.
     // No segment is consumed twice within one query, so its walks are
     // mutually independent — the property the chi-square accuracy test
-    // needs. `used` is per query: queries never mutate shared index state,
-    // which is what keeps responses independent of batch composition.
-    std::map<vertex_id_t, uint32_t> base;
-    std::map<vertex_id_t, uint32_t> used;
+    // needs. The cursors are per query (stamped with its number), so
+    // queries never share segment state, which is what keeps responses
+    // independent of batch composition. A vertex draws its base offset on
+    // its first touch by the query, so qrng's draws follow first-touch order.
+    if (spv != 0 && stitch_cursors_.size() != index_.num_vertices()) {
+      stitch_cursors_.assign(index_.num_vertices(), StitchCursor{});
+      stitch_query_ = 0;
+    }
+    if (++stitch_query_ == 0) {  // stamp wrapped: no cursor may look current
+      std::ranges::fill(stitch_cursors_, StitchCursor{});
+      stitch_query_ = 1;
+    }
     auto next_segment = [&](vertex_id_t v) -> int64_t {
       if (spv == 0) {
         return -1;
       }
-      uint32_t& u = used[v];
-      if (u >= spv) {
+      StitchCursor& c = stitch_cursors_[v];
+      if (c.query != stitch_query_) {
+        c = {stitch_query_, static_cast<uint32_t>(qrng.Next() % spv), 0};
+      }
+      if (c.used >= spv) {
         return -1;  // vertex dry for this query
       }
-      auto [it, inserted] = base.try_emplace(v, 0);
-      if (inserted) {
-        it->second = static_cast<uint32_t>(qrng.Next() % spv);
-      }
-      uint32_t s = (it->second + u) % spv;
-      u += 1;
+      uint32_t s = (c.base + c.used) % spv;
+      c.used += 1;
       return static_cast<int64_t>(s);
     };
 
@@ -835,6 +850,10 @@ class WalkService {
   FlatPaths live_paths_ KK_GUARDED_BY(serve_mu_);
   std::vector<std::span<const vertex_id_t>> stitched_ KK_GUARDED_BY(serve_mu_);
   std::vector<vertex_id_t> sort_scratch_ KK_GUARDED_BY(serve_mu_);
+  // StitchQuery's per-vertex segment cursors, reused across queries: one
+  // entry per vertex, current for the query numbered stitch_query_.
+  std::vector<StitchCursor> stitch_cursors_ KK_GUARDED_BY(serve_mu_);
+  uint32_t stitch_query_ KK_GUARDED_BY(serve_mu_) = 0;
   double index_build_seconds_ KK_GUARDED_BY(serve_mu_) = 0.0;
   StageSeconds stage_seconds_ KK_GUARDED_BY(serve_mu_);
 

@@ -7,7 +7,7 @@ namespace knightking {
 ThreadPool::ThreadPool(size_t num_workers) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
   }
 }
 
@@ -22,7 +22,7 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::RunChunks(Job& job) {
+void ThreadPool::RunChunks(Job& job, size_t lane) {
   for (;;) {
     size_t begin = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
     if (begin >= job.total) {
@@ -32,20 +32,19 @@ void ThreadPool::RunChunks(Job& job) {
     if (end > job.total) {
       end = job.total;
     }
-    (*job.fn)(begin, end);
+    (*job.fn)(lane, begin, end);
     job.done_chunks.fetch_add(1, std::memory_order_acq_rel);
   }
 }
 
-void ThreadPool::ParallelFor(size_t total, size_t chunk,
-                             const std::function<void(size_t, size_t)>& fn) {
+void ThreadPool::ParallelForLanes(size_t total, size_t chunk, const LaneFn& fn) {
   KK_CHECK(chunk > 0);
   if (total == 0) {
     return;
   }
   if (workers_.empty() || total <= chunk) {
     // Inline fast path: nothing to coordinate.
-    fn(0, total);
+    fn(0, 0, total);
     return;
   }
 
@@ -74,7 +73,7 @@ void ThreadPool::ParallelFor(size_t total, size_t chunk,
 
   // The caller participates too; this also guarantees progress when workers
   // are descheduled (we run on machines with fewer cores than workers).
-  RunChunks(job);
+  RunChunks(job, 0);
 
   // Wait until no worker still holds a reference to `job` (it lives on this
   // stack frame). Workers join/leave the job under mutex_, so once
@@ -89,7 +88,7 @@ void ThreadPool::ParallelFor(size_t total, size_t chunk,
   KK_DCHECK(job.done_chunks.load(std::memory_order_acquire) == job.num_chunks);
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t lane) {
   uint64_t seen_epoch = 0;
   for (;;) {
     Job* job = nullptr;
@@ -105,7 +104,7 @@ void ThreadPool::WorkerLoop() {
       seen_epoch = job_epoch_;
       ++job->active_workers;
     }
-    RunChunks(*job);
+    RunChunks(*job, lane);
     {
       MutexLock lock(mutex_);
       --job->active_workers;

@@ -43,23 +43,31 @@ class ThreadPool {
 
   size_t num_workers() const { return workers_.size(); }
 
-  // Runs fn(begin, end) over chunked sub-ranges of [0, total) across all
-  // workers plus the calling thread; returns when every chunk is done.
-  // fn must be safe to invoke concurrently on disjoint ranges.
-  void ParallelFor(size_t total, size_t chunk,
-                   const std::function<void(size_t, size_t)>& fn) KK_EXCLUDES(mutex_);
+  // Runs fn(lane, begin, end) over chunked sub-ranges of [0, total) across
+  // all workers plus the calling thread; returns when every chunk is done.
+  // `lane` names the thread running the chunk: 0 for the caller, 1 to
+  // num_workers() for the workers, so each thread can fill its own output
+  // buffers without locks. fn must be safe to invoke concurrently on
+  // disjoint ranges and distinct lanes.
+  using LaneFn = std::function<void(size_t lane, size_t begin, size_t end)>;
+  void ParallelForLanes(size_t total, size_t chunk, const LaneFn& fn) KK_EXCLUDES(mutex_);
+
+  // ParallelForLanes without the lane.
+  void ParallelFor(size_t total, size_t chunk, const std::function<void(size_t, size_t)>& fn) {
+    ParallelForLanes(total, chunk, [&fn](size_t, size_t begin, size_t end) { fn(begin, end); });
+  }
 
   void ParallelFor(size_t total, const std::function<void(size_t, size_t)>& fn) {
     ParallelFor(total, kDefaultChunkSize, fn);
   }
 
  private:
-  void WorkerLoop() KK_EXCLUDES(mutex_);
+  void WorkerLoop(size_t lane) KK_EXCLUDES(mutex_);
 
   struct Job {
     size_t total = 0;
     size_t chunk = 1;
-    const std::function<void(size_t, size_t)>* fn = nullptr;
+    const LaneFn* fn = nullptr;
     std::atomic<size_t> next{0};
     std::atomic<size_t> done_chunks{0};
     size_t num_chunks = 0;
@@ -69,8 +77,9 @@ class ThreadPool {
     int active_workers = 0;
   };
 
-  // Drains chunks of the current job; returns when no chunks remain.
-  void RunChunks(Job& job);
+  // Drains chunks of the current job on `lane`; returns when no chunks
+  // remain.
+  void RunChunks(Job& job, size_t lane);
 
   // The one sanctioned home for std::thread: kk-lint KK010 bans raw threads
   // everywhere else so all parallelism flows through this pool.

@@ -20,6 +20,15 @@ class Timer {
 
   double Millis() const { return Seconds() * 1e3; }
 
+  // Seconds() and Restart() from one clock reading, so back-to-back
+  // intervals cost one read each.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

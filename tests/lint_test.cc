@@ -63,6 +63,30 @@ TEST(KkLintTest, Kk003UnorderedIterationFixture) {
   EXPECT_EQ(findings.size(), 2u);  // range-for + iterator loop
 }
 
+// The container is declared in one header and walked in another: the
+// walking file alone shows no unordered type, so KK003 fires only when the
+// tree's declarations are collected first (as the tree driver does).
+TEST(KkLintTest, Kk003SeesDeclarationsFromOtherFiles) {
+  const std::string decl =
+      "#include <unordered_map>\n"
+      "struct NodeState {\n"
+      "  std::unordered_map<int, Move> in_flight;\n"
+      "};\n";
+  const std::string loop =
+      "void Retransmit(NodeState& node) {\n"
+      "  for (auto& [id, move] : node.in_flight) {\n"
+      "  }\n"
+      "}\n";
+  EXPECT_TRUE(LintContent("src/engine/retransmit.h", loop).empty());
+  std::set<std::string> names;
+  AddUnorderedNames(decl, &names);
+  EXPECT_EQ(names, std::set<std::string>{"in_flight"});
+  auto findings = LintContentFull("src/engine/retransmit.h", loop, names).findings;
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "KK003");
+  EXPECT_EQ(findings[0].line, 2u);
+}
+
 TEST(KkLintTest, Kk004SamplingNarrowingFixture) {
   auto findings = LintFixture("src/sampling/kk004_narrowing.cc");
   EXPECT_EQ(RuleIds(findings), std::set<std::string>{"KK004"});

@@ -783,5 +783,37 @@ TEST(MutationCheckpointTest, RestoreRefusesMismatchedLog) {
   std::remove(path.c_str());
 }
 
+// Outside Run, a mutating engine refuses a restore. Its graph already holds
+// the epoch-6 batch, past the superstep-4 snapshot's cut; accepting the
+// restore would rewind only the batch cursor, and the next Run would apply
+// that batch a second time.
+TEST(MutationCheckpointTest, OutOfRunRestoreIsRefused) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
+  MutationLog log(kSeed);
+  log.Append(1, {Ins(4, 100, 3.5f)});
+  log.Append(6, {Ins(50, 51, 1.0f)});
+  const std::string path = SnapshotPath("out_of_run");
+  WalkEngineOptions opts = BaseOptions(2, 0);
+  opts.mutation_log = &log;
+  opts.checkpoint_every = 4;
+  opts.checkpoint_path = path;
+  WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+  const auto spec = DeepWalkWalkers(60, {.walk_length = 7});
+  engine.Run(DeepWalkTransition<WeightedEdgeData>(), spec);
+  ASSERT_EQ(engine.mutation_counters().applied(), 2u);
+  CheckpointInfo info;
+  std::string error;
+  ASSERT_TRUE(InspectCheckpoint(path, &info, &error)) << error;
+  ASSERT_EQ(info.header.superstep, 4u);
+  ASSERT_EQ(info.header.mutation_batches, 1u);
+
+  EXPECT_FALSE(engine.LoadCheckpoint(path));
+  EXPECT_EQ(engine.mutation_batches_applied(), 2u);
+  engine.Run(DeepWalkTransition<WeightedEdgeData>(), spec);
+  EXPECT_EQ(engine.mutation_batches_applied(), 2u);
+  EXPECT_EQ(engine.mutation_counters().applied(), 2u);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace knightking

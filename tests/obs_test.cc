@@ -503,22 +503,6 @@ TEST(PhaseCountersTest, PhaseSumsMatchAggregateAcrossWorkerCounts) {
   });
 }
 
-TEST(PhaseCountersTest, ScratchPoolCountersObserveReuse) {
-  auto edges = GenerateUniformDegree(100, 6, 7);
-  WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges),
-                                   BaseOptions(2, WorkersFromEnv()));
-  PprParams ppr;
-  engine.Run(PprTransition<EmptyEdgeData>(), PprWalkers(80, ppr));
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  for (node_rank_t n = 0; n < 2; ++n) {
-    hits += engine.node_observability(n).scratch_hits;
-    misses += engine.node_observability(n).scratch_misses;
-  }
-  EXPECT_GT(misses, 0u) << "first acquisition per node must allocate";
-  EXPECT_GT(hits, 0u) << "multi-iteration runs must reuse pooled scratch";
-}
-
 #else  // !KK_OBS
 
 TEST(PhaseCountersTest, DisabledModeCompilesCountersOut) {
@@ -530,7 +514,6 @@ TEST(PhaseCountersTest, DisabledModeCompilesCountersOut) {
   SamplingStats s;
   s.trials = 10;
   acc.MergeStats(obs::Phase::kSample, s);
-  acc.CountScratch(true);
   acc.CountBatchSort();
   EXPECT_EQ(acc.Stats(obs::Phase::kSample).trials, 0u);
   EXPECT_FALSE(obs::kObsEnabled);
@@ -554,7 +537,6 @@ TEST(PhaseCountersTest, DisabledModeMailboxCountersReadZero) {
     const std::string& name = m.Find("name")->AsString();
     EXPECT_EQ(name.find("engine.phase."), std::string::npos) << name;
     EXPECT_EQ(name.find("engine.mailbox.posted_"), std::string::npos) << name;
-    EXPECT_EQ(name.find("engine.scratch_pool."), std::string::npos) << name;
     if (name == "engine.steps") {
       saw_aggregate = true;
       EXPECT_GT(m.Find("value")->AsNumber(), 0.0);

@@ -199,18 +199,10 @@ std::string TailIdentifierBefore(const std::string& s, size_t pos) {
   return s.substr(begin, end - begin);
 }
 
-void CheckUnorderedIteration(const std::string& path, const std::vector<std::string>& code,
-                             std::vector<Finding>* findings) {
-  // src/obs/ is in scope: snapshot export promises canonical ordering, so an
-  // unordered-container walk there is exactly the bug the rule exists for.
-  if (!StartsWith(path, "src/engine/") && !StartsWith(path, "src/apps/") &&
-      !StartsWith(path, "src/testing/") && !StartsWith(path, "src/obs/")) {
-    return;
-  }
-  // Pass 1: every identifier declared (or returned) with an unordered
-  // container type anywhere in the file.
+// Every identifier declared (or returned) with an unordered container type
+// in `code` (comment- and string-stripped lines), added to *names.
+void CollectUnorderedNames(const std::vector<std::string>& code, std::set<std::string>* names) {
   static const std::regex kDecl(R"(\bunordered_(?:map|set|multimap|multiset)\s*<)");
-  std::set<std::string> unordered_names;
   for (const std::string& line : code) {
     auto begin = std::sregex_iterator(line.begin(), line.end(), kDecl);
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
@@ -233,10 +225,26 @@ void CheckUnorderedIteration(const std::string& path, const std::vector<std::str
       std::string rest = line.substr(pos);
       std::smatch m;
       if (std::regex_search(rest, m, kName)) {
-        unordered_names.insert(m.str(1));
+        names->insert(m.str(1));
       }
     }
   }
+}
+
+// `tree_names` are the unordered names declared anywhere in the linted
+// tree, so a loop over a member declared in another header is still seen.
+void CheckUnorderedIteration(const std::string& path, const std::vector<std::string>& code,
+                             const std::set<std::string>& tree_names,
+                             std::vector<Finding>* findings) {
+  // src/obs/ is in scope: snapshot export promises canonical ordering, so an
+  // unordered-container walk there is exactly the bug the rule exists for.
+  if (!StartsWith(path, "src/engine/") && !StartsWith(path, "src/apps/") &&
+      !StartsWith(path, "src/testing/") && !StartsWith(path, "src/obs/")) {
+    return;
+  }
+  // Pass 1: the file's own unordered names plus the tree's.
+  std::set<std::string> unordered_names = tree_names;
+  CollectUnorderedNames(code, &unordered_names);
   if (unordered_names.empty()) {
     return;
   }
@@ -672,24 +680,54 @@ void CheckCacheGeometryLiteral(const std::string& path, const std::vector<std::s
   }
 }
 
+std::vector<std::string> SplitLines(const std::string& content) {
+  std::vector<std::string> lines;
+  std::istringstream in(content);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+bool ReadFile(const std::string& abs_path, std::string* content, std::string* error) {
+  std::ifstream in(abs_path, std::ios::binary);
+  if (!in) {
+    *error = "cannot open " + abs_path;
+    return false;
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *content = buf.str();
+  return true;
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& Rules() { return kRules; }
 
-FileLint LintContentFull(const std::string& rel_path, const std::string& content) {
-  std::vector<std::string> raw;
-  {
-    std::istringstream in(content);
-    std::string line;
-    while (std::getline(in, line)) {
-      raw.push_back(line);
-    }
+void AddUnorderedNames(const std::string& content, std::set<std::string>* names) {
+  CollectUnorderedNames(StripCommentsAndStrings(SplitLines(content)), names);
+}
+
+bool AddUnorderedNamesFromFile(const std::string& abs_path, std::set<std::string>* names,
+                               std::string* error) {
+  std::string content;
+  if (!ReadFile(abs_path, &content, error)) {
+    return false;
   }
+  AddUnorderedNames(content, names);
+  return true;
+}
+
+FileLint LintContentFull(const std::string& rel_path, const std::string& content,
+                         const std::set<std::string>& unordered_names) {
+  std::vector<std::string> raw = SplitLines(content);
   std::vector<std::string> code = StripCommentsAndStrings(raw);
   std::vector<Finding> emitted;
   CheckAmbientRandomness(rel_path, code, &emitted);
   CheckRawSeed(rel_path, code, &emitted);
-  CheckUnorderedIteration(rel_path, code, &emitted);
+  CheckUnorderedIteration(rel_path, code, unordered_names, &emitted);
   CheckSamplingNarrowing(rel_path, code, &emitted);
   CheckUncheckedRead(rel_path, code, &emitted);
   CheckAmbientTime(rel_path, code, &emitted);
@@ -760,15 +798,12 @@ std::vector<Finding> LintContent(const std::string& rel_path, const std::string&
 }
 
 bool LintFile(const std::string& abs_path, const std::string& rel_path, FileLint* out,
-              std::string* error) {
-  std::ifstream in(abs_path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + abs_path;
+              std::string* error, const std::set<std::string>& unordered_names) {
+  std::string content;
+  if (!ReadFile(abs_path, &content, error)) {
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  FileLint file = LintContentFull(rel_path, buf.str());
+  FileLint file = LintContentFull(rel_path, content, unordered_names);
   out->findings.insert(out->findings.end(), file.findings.begin(), file.findings.end());
   out->unused_waivers.insert(out->unused_waivers.end(), file.unused_waivers.begin(),
                              file.unused_waivers.end());

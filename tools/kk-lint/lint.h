@@ -28,6 +28,7 @@
 #ifndef TOOLS_KK_LINT_LINT_H_
 #define TOOLS_KK_LINT_LINT_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -69,9 +70,23 @@ struct RuleInfo {
 // The rule catalog, in ID order.
 const std::vector<RuleInfo>& Rules();
 
+// Adds every identifier `content` declares with an unordered container type
+// (KK003's container names) to *names. The tree driver collects them over
+// every linted file first, so KK003 sees a loop over a member whose
+// declaration lives in another header.
+void AddUnorderedNames(const std::string& content, std::set<std::string>* names);
+
+// AddUnorderedNames over a file on disk; false (with `error` set) if it
+// cannot be read.
+bool AddUnorderedNamesFromFile(const std::string& abs_path, std::set<std::string>* names,
+                               std::string* error);
+
 // Lints one file. `rel_path` is the path relative to the repo root and
-// drives rule scoping; `content` is the file's full text.
-FileLint LintContentFull(const std::string& rel_path, const std::string& content);
+// drives rule scoping; `content` is the file's full text;
+// `unordered_names` are unordered container names declared elsewhere in
+// the tree (the file's own are always collected).
+FileLint LintContentFull(const std::string& rel_path, const std::string& content,
+                         const std::set<std::string>& unordered_names = {});
 
 // Findings-only convenience wrapper around LintContentFull.
 std::vector<Finding> LintContent(const std::string& rel_path, const std::string& content);
@@ -79,7 +94,7 @@ std::vector<Finding> LintContent(const std::string& rel_path, const std::string&
 // Reads and lints one file on disk, appending into *out. Returns false (and
 // sets `error`) if the file cannot be read.
 bool LintFile(const std::string& abs_path, const std::string& rel_path, FileLint* out,
-              std::string* error);
+              std::string* error, const std::set<std::string>& unordered_names = {});
 
 // Extracts the translation-unit list from a compile_commands.json blob
 // (minimal parser: every "file": "..." entry).

@@ -211,10 +211,21 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
+  // KK003 knows every unordered container declared in the linted files, not
+  // only the ones declared in the file it checks.
+  std::set<std::string> unordered_names;
+  for (const auto& [abs, rel] : files) {
+    std::string error;
+    if (!kklint::AddUnorderedNamesFromFile(abs, &unordered_names, &error)) {
+      std::fprintf(stderr, "kk-lint: %s\n", error.c_str());
+      return 2;
+    }
+  }
+
   kklint::FileLint all;
   for (const auto& [abs, rel] : files) {
     std::string error;
-    if (!kklint::LintFile(abs, rel, &all, &error)) {
+    if (!kklint::LintFile(abs, rel, &all, &error, unordered_names)) {
       std::fprintf(stderr, "kk-lint: %s\n", error.c_str());
       return 2;
     }
