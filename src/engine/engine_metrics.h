@@ -45,6 +45,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::ExportMetrics(
   out.SetGauge("engine.phase_seconds", with({{"phase", "respond"}}), phase_times_.respond);
   out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
   out.SetGauge("engine.phase_seconds", with({{"phase", "exchange"}}), phase_times_.exchange);
+  out.SetGauge("engine.phase_seconds", with({{"phase", "mutate"}}), phase_times_.mutate);
   if (obs::kObsEnabled) {
     for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
       const obs::PhaseAccumulator& acc = nodes_[n]->obs;

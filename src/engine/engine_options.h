@@ -123,6 +123,7 @@ struct EnginePhaseTimes {
   double respond = 0.0;   // phase B: answering walker-to-vertex queries
   double resolve = 0.0;   // phase C: resolving parked trials
   double exchange = 0.0;  // mailbox barriers (walker moves + queries)
+  double mutate = 0.0;    // ApplyDue: mutation batches and overlay merges
 };
 
 // Iterations without any walker progress before the engine declares the walk

@@ -20,13 +20,17 @@ class MutableGraph {
  public:
   using AdjT = AdjUnit<EdgeData>;
 
+  using RowReuseFn = typename StaticSamplerSet<EdgeData>::RowReuseFn;
+
   // The engine's side of an edit: Ps of an edge, the Pd envelope of a vertex
   // at a new degree, and the flat static state over csr() after a merge or
-  // replay reset. `pool` runs the merge fold.
+  // replay reset. A merge passes prepare_static the rows whose edges it kept,
+  // whose static state may carry over; a replay reset passes null. `pool`
+  // runs the merge fold.
   struct Hooks {
     std::function<real_t(vertex_id_t, const AdjT&)> ps;
     std::function<void(vertex_id_t, vertex_id_t)> refresh_envelope;
-    std::function<void()> prepare_static;
+    std::function<void(const RowReuseFn&)> prepare_static;
     ThreadPool* pool = nullptr;
   };
 
@@ -134,7 +138,7 @@ class MutableGraph {
                  count, log_->num_batches());
     graph_ = pristine_graph_;
     Restart();
-    hooks_.prepare_static();
+    hooks_.prepare_static(nullptr);
     while (mutation_cursor_ < count) {
       ApplyNextBatch();
     }
@@ -222,18 +226,19 @@ class MutableGraph {
 
   // Folds base + overlay into a fresh CSR and rebuilds the flat static state
   // over it. Clean rows byte-copy and dirty rows sort, in parallel vertex
-  // chunks on the prepare pool; amortized over merge_threshold mutations per
-  // row. Wall-clock accrues to merge_micros (graph.merge_micros, unstable).
+  // chunks on the prepare pool; the static state rebuilds the dirty rows
+  // only. Amortized over merge_threshold mutations per row. Wall-clock
+  // accrues to merge_micros (graph.merge_micros, unstable).
   void MergeOverlay() {
     Timer merge_timer;
     // Preserves the live counters across the resets below.
     AddLiveCounters(folded_);
-    Csr<EdgeData> merged = delta_.MergedCsr(hooks_.pool);
-    graph_ = std::move(merged);
+    graph_ = delta_.MergedCsr(hooks_.pool);
+    // The overlay still marks the dirty rows; every other row kept its edges.
+    hooks_.prepare_static([this](vertex_id_t v) { return !delta_.IsDirty(v); });
     delta_.Reset(&graph_);
     overlay_.Reset(graph_.num_vertices());
     ++folded_.merges;
-    hooks_.prepare_static();  // flat sampler tables, envelope arrays, partition plan
     merge_micros_ += static_cast<uint64_t>(merge_timer.Seconds() * 1e6);
   }
 

@@ -104,6 +104,11 @@ class WalkEngine {
   }
 
   const Csr<EdgeData>& graph() const { return graph_.csr(); }
+
+  // The flat Ps tables over graph(); a dirty row of a mutating Run samples
+  // from its overlay row instead.
+  const StaticSamplerSet<EdgeData>& static_sampler() const { return sampler_; }
+
   const Partition& partition() const { return partition_; }
   const WalkEngineOptions& options() const { return options_; }
 
@@ -165,7 +170,7 @@ class WalkEngine {
                     /*weighted=*/transition.static_comp != nullptr || HasWeight<EdgeData>,
                     {.ps = [this](vertex_id_t v, const AdjT& edge) { return PsOf(v, edge); },
                      .refresh_envelope = [this](auto v, auto deg) { RefreshEnvelope(v, deg); },
-                     .prepare_static = [this] { PrepareStatic(); },
+                     .prepare_static = [this](const auto& reuse) { PrepareStatic(reuse); },
                      .pool = PreparePool()});
 
     phase_times_ = EnginePhaseTimes{};
@@ -253,7 +258,9 @@ class WalkEngine {
       // snapshot at superstep s always contains every batch with epoch <= s
       // — the invariant the recovery replay depends on.
       if (graph_.mutating()) {
+        Timer mutate_clock;
         graph_.ApplyDue(superstep_, options_.fault_injector);
+        phase_times_.mutate += mutate_clock.Seconds();
       }
       // Snapshot before probing for crashes: the initial save at superstep 0
       // guarantees every crash finds a checkpoint at or before its epoch.
@@ -561,29 +568,26 @@ class WalkEngine {
     retransmit_out_.resize(options_.num_nodes);
   }
 
-  void PrepareStatic() {
+  // The static sampler and the Pd envelopes over graph_.csr(). A row for
+  // which `reuse_row` holds kept its edges since the last call (a merge's
+  // clean rows), so its sampler row and envelope carry over.
+  void PrepareStatic(const typename StaticSamplerSet<EdgeData>::RowReuseFn& reuse_row = nullptr) {
     ThreadPool* pool = PreparePool();
     const Csr<EdgeData>& csr = graph_.csr();
-    sampler_.Build(csr, options_.sampler_kind, transition_->static_comp, pool);
-    upper_.clear();
-    lower_.clear();
+    sampler_.Build(csr, options_.sampler_kind, transition_->static_comp, pool, reuse_row);
+    if (!reuse_row) {
+      upper_.assign(dynamic_ ? csr.num_vertices() : 0, 0.0f);
+      lower_.assign(dynamic_ && transition_->dynamic_lower_bound ? csr.num_vertices() : 0, 0.0f);
+    }
     if (dynamic_) {
-      upper_.resize(csr.num_vertices());
-      ParallelFill(pool, csr.num_vertices(), [this, &csr](size_t begin, size_t end) {
+      ParallelFill(pool, csr.num_vertices(), [&](size_t begin, size_t end) {
         for (size_t v = begin; v < end; ++v) {
           auto vid = static_cast<vertex_id_t>(v);
-          upper_[v] = transition_->dynamic_upper_bound(vid, csr.OutDegree(vid));
+          if (!reuse_row || !reuse_row(vid)) {
+            RefreshEnvelope(vid, csr.OutDegree(vid));
+          }
         }
       });
-      if (transition_->dynamic_lower_bound) {
-        lower_.resize(csr.num_vertices());
-        ParallelFill(pool, csr.num_vertices(), [this, &csr](size_t begin, size_t end) {
-          for (size_t v = begin; v < end; ++v) {
-            auto vid = static_cast<vertex_id_t>(v);
-            lower_[v] = transition_->dynamic_lower_bound(vid, csr.OutDegree(vid));
-          }
-        });
-      }
     }
     // Average hot-state bytes per vertex row: adjacency, sampler tables and
     // the envelope scalars (the kAuto locality estimate's row size).

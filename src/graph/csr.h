@@ -81,6 +81,9 @@ class Csr {
   // Global index of vertex v's first out-edge in the adjacency array.
   edge_index_t EdgeBegin(vertex_id_t v) const { return offsets_[v]; }
 
+  // Every row's EdgeBegin, plus num_edges() at the end (size V+1).
+  std::span<const edge_index_t> offsets() const { return offsets_; }
+
   std::span<const AdjUnit<EdgeData>> Neighbors(vertex_id_t v) const {
     KK_DCHECK(v < num_vertices());
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -223,14 +222,8 @@ class DeltaStore {
   void Materialize(vertex_id_t v) {
     KK_CHECK(v < slot_.size() && !IsDirty(v));
     slot_[v] = static_cast<uint32_t>(rows_.size());
-    OverlayRow& row = rows_.emplace_back();
-    row.vertex = v;
     auto span = base_->Neighbors(v);
-    row.adj.assign(span.begin(), span.end());
-    row.index_of.reserve(row.adj.size());
-    for (size_t i = 0; i < row.adj.size(); ++i) {
-      row.index_of[row.adj[i].neighbor] = static_cast<vertex_id_t>(i);
-    }
+    rows_.emplace_back().adj.assign(span.begin(), span.end());
     ++stats_.rows_materialized;
   }
 
@@ -255,7 +248,6 @@ class DeltaStore {
         edit.kind = RowEdit::Kind::kInsert;
         edit.local_index = static_cast<vertex_id_t>(row.adj.size());
         row.adj.push_back(unit);
-        row.index_of[m.dst] = edit.local_index;
         ++stats_.inserted;
         break;
       }
@@ -271,11 +263,7 @@ class DeltaStore {
         edit.kind = RowEdit::Kind::kRemove;
         edit.local_index = i;
         edit.moved_from = last;
-        row.index_of.erase(m.dst);
-        if (i != last) {
-          row.adj[i] = row.adj[last];
-          row.index_of[row.adj[i].neighbor] = i;
-        }
+        row.adj[i] = row.adj[last];
         row.adj.pop_back();
         ++stats_.removed;
         break;
@@ -346,22 +334,12 @@ class DeltaStore {
   static constexpr uint32_t kInvalidSlot = 0xffffffffu;
 
   struct OverlayRow {
-    vertex_id_t vertex = kInvalidVertex;
     std::vector<AdjUnit<EdgeData>> adj;
-    // Fast path for delete/reweight lookup: neighbor -> one occurrence.
-    // May go stale under duplicate edges (multigraph rows); every hit is
-    // verified against the row and falls back to a linear scan, so it is an
-    // accelerator, never an authority. Point lookups only — never iterated.
-    std::unordered_map<vertex_id_t, vertex_id_t> index_of;
     uint32_t delta_count = 0;
   };
 
+  // The first occurrence of dst in the row (delete and reweight target).
   static std::optional<vertex_id_t> FindInRow(const OverlayRow& row, vertex_id_t dst) {
-    auto it = row.index_of.find(dst);
-    if (it != row.index_of.end() && it->second < row.adj.size() &&
-        row.adj[it->second].neighbor == dst) {
-      return it->second;
-    }
     for (size_t i = 0; i < row.adj.size(); ++i) {
       if (row.adj[i].neighbor == dst) return static_cast<vertex_id_t>(i);
     }

@@ -8,26 +8,36 @@
 #ifndef SRC_SAMPLING_ALIAS_TABLE_H_
 #define SRC_SAMPLING_ALIAS_TABLE_H_
 
+#include <algorithm>
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "src/sampling/flat_rows.h"
 #include "src/util/check.h"
 #include "src/util/prefetch.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "src/util/types.h"
 
 namespace knightking {
 
-class ThreadPool;
-
 namespace alias_internal {
 
-// Vose's alias construction over weights[begin..end) writing into
-// prob/alias[0..n). Returns the total weight. Zero-weight entries are valid
-// (never sampled); an all-zero distribution returns total 0 and must not be
-// sampled from.
+// Vose's work lists, owned by the caller and reused across rows so a row
+// build allocates nothing once the lists have grown to the largest row.
+struct AliasScratch {
+  std::vector<double> scaled;
+  std::vector<uint32_t> small;
+  std::vector<uint32_t> large;
+};
+
+// Vose's alias construction over weights[0..n) writing into prob/alias[0..n).
+// Returns the total weight. Zero-weight entries are valid (never sampled); an
+// all-zero distribution returns total 0 and must not be sampled from. The
+// output is a pure function of `weights`, whatever `scratch` held before.
 double BuildAliasRow(std::span<const real_t> weights, std::span<real_t> prob,
-                     std::span<uint32_t> alias);
+                     std::span<uint32_t> alias, AliasScratch& scratch);
 
 // One alias draw over a row of size n.
 inline size_t SampleAliasRow(std::span<const real_t> prob, std::span<const uint32_t> alias,
@@ -50,7 +60,8 @@ class AliasTable {
   void Build(std::span<const real_t> weights) {
     prob_.resize(weights.size());
     alias_.resize(weights.size());
-    total_weight_ = alias_internal::BuildAliasRow(weights, prob_, alias_);
+    alias_internal::AliasScratch scratch;
+    total_weight_ = alias_internal::BuildAliasRow(weights, prob_, alias_, scratch);
   }
 
   size_t size() const { return prob_.size(); }
@@ -74,11 +85,54 @@ class FlatAliasTables {
  public:
   FlatAliasTables() = default;
 
-  // offsets: CSR offsets (size V+1); weights: per-edge static weights in CSR
-  // order (size E). Rows are independent, so a non-null `pool` builds them in
-  // parallel (vertex-chunked); null builds sequentially.
-  void Build(std::span<const edge_index_t> offsets, std::span<const real_t> weights,
-             ThreadPool* pool = nullptr);
+  // Builds one table per row of `offsets` (CSR offsets, size V+1).
+  // `row_weights(v, out)` writes row v's static weights, in adjacency order,
+  // into `out` (v's degree long). A row for which `reuse_row(v)` holds keeps
+  // its current table instead, moved to its new offset; the current tables
+  // must hold a row v of the same weights (a merge's clean rows), and as
+  // BuildAliasRow is a pure function of a row's weights, the kept table
+  // equals a rebuilt one byte for byte. Rows are independent, so a non-null
+  // `pool` builds them in parallel over vertex chunks.
+  template <typename RowWeights>
+  void Build(std::span<const edge_index_t> offsets, const RowWeights& row_weights,
+             ThreadPool* pool = nullptr,
+             const std::function<bool(vertex_id_t)>& reuse_row = nullptr) {
+    KK_CHECK(!offsets.empty());
+    const size_t num_vertices = offsets.size() - 1;
+    if (reuse_row) {
+      KK_CHECK(offsets_.size() == offsets.size());
+      flat_internal::RelocateRows(prob_, offsets_, offsets, reuse_row);
+      flat_internal::RelocateRows(alias_, offsets_, offsets, reuse_row);
+    } else {
+      prob_.resize(offsets.back());
+      alias_.resize(offsets.back());
+      totals_.resize(num_vertices);
+      max_weight_.resize(num_vertices);
+    }
+    offsets_.assign(offsets.begin(), offsets.end());
+    auto build_rows = [&](size_t row_begin, size_t row_end) {
+      std::vector<real_t> weights;
+      alias_internal::AliasScratch scratch;
+      for (size_t v = row_begin; v < row_end; ++v) {
+        const auto vid = static_cast<vertex_id_t>(v);
+        if (reuse_row && reuse_row(vid)) {
+          continue;
+        }
+        const edge_index_t begin = offsets[v];
+        const auto deg = static_cast<size_t>(offsets[v + 1] - begin);
+        weights.resize(deg);
+        row_weights(vid, std::span<real_t>(weights));
+        totals_[v] = alias_internal::BuildAliasRow(
+            weights, {prob_.data() + begin, deg}, {alias_.data() + begin, deg}, scratch);
+        real_t max_w = 0.0f;
+        for (real_t x : weights) {
+          max_w = std::max(max_w, x);
+        }
+        max_weight_[v] = max_w;
+      }
+    };
+    ParallelFill(pool, num_vertices, build_rows);
+  }
 
   // Samples a local edge index (offset within v's adjacency).
   vertex_id_t Sample(vertex_id_t v, Rng& rng) const {

@@ -9,9 +9,11 @@
 #define SRC_SAMPLING_ITS_H_
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "src/sampling/flat_rows.h"
 #include "src/util/check.h"
 #include "src/util/prefetch.h"
 #include "src/util/rng.h"
@@ -73,25 +75,42 @@ class FlatItsTables {
  public:
   FlatItsTables() = default;
 
-  // Per-vertex CDF rows are independent; a non-null `pool` builds them in
-  // parallel over vertex chunks.
-  void Build(std::span<const edge_index_t> offsets, std::span<const real_t> weights,
-             ThreadPool* pool = nullptr) {
+  // Builds one CDF row per row of `offsets` (CSR offsets, size V+1), with
+  // the row_weights / reuse_row contract of FlatAliasTables::Build: a reused
+  // row keeps its current prefix sums, moved to its new offset. Rows are
+  // independent; a non-null `pool` builds them in parallel over vertex
+  // chunks.
+  template <typename RowWeights>
+  void Build(std::span<const edge_index_t> offsets, const RowWeights& row_weights,
+             ThreadPool* pool = nullptr,
+             const std::function<bool(vertex_id_t)>& reuse_row = nullptr) {
     KK_CHECK(!offsets.empty());
-    size_t num_vertices = offsets.size() - 1;
-    KK_CHECK(offsets.back() == weights.size());
+    const size_t num_vertices = offsets.size() - 1;
+    if (reuse_row) {
+      KK_CHECK(offsets_.size() == offsets.size());
+      flat_internal::RelocateRows(cdf_, offsets_, offsets, reuse_row);
+    } else {
+      cdf_.resize(offsets.back());
+      totals_.resize(num_vertices);
+      max_weight_.resize(num_vertices);
+    }
     offsets_.assign(offsets.begin(), offsets.end());
-    cdf_.resize(weights.size());
-    totals_.resize(num_vertices);
-    max_weight_.resize(num_vertices);
     auto build_rows = [&](size_t row_begin, size_t row_end) {
+      std::vector<real_t> weights;
       for (size_t v = row_begin; v < row_end; ++v) {
+        const auto vid = static_cast<vertex_id_t>(v);
+        if (reuse_row && reuse_row(vid)) {
+          continue;
+        }
+        const edge_index_t begin = offsets[v];
+        weights.resize(static_cast<size_t>(offsets[v + 1] - begin));
+        row_weights(vid, std::span<real_t>(weights));
         double sum = 0.0;
         real_t max_w = 0.0f;
-        for (edge_index_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        for (size_t i = 0; i < weights.size(); ++i) {
           sum += static_cast<double>(weights[i]);
           max_w = std::max(max_w, weights[i]);
-          cdf_[i] = sum;
+          cdf_[begin + i] = sum;
         }
         totals_[v] = sum;
         max_weight_[v] = max_w;

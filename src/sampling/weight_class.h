@@ -22,7 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -289,13 +289,17 @@ class LazyAliasRow {
       cb.has_items = true;
     }
     KK_DCHECK(cb.items.size() == cb.count);
-    std::vector<real_t> weights(cb.items.size());
+    // Workers build different rows' classes at once, each under its own row
+    // mutex, so the scratch is per thread rather than per row.
+    thread_local std::vector<real_t> weights;
+    thread_local alias_internal::AliasScratch scratch;
+    weights.resize(cb.items.size());
     for (size_t k = 0; k < cb.items.size(); ++k) {
       weights[k] = weight_of_[cb.items[k]];
     }
     cb.prob.resize(cb.items.size());
     cb.alias.resize(cb.items.size());
-    alias_internal::BuildAliasRow(weights, cb.prob, cb.alias);
+    alias_internal::BuildAliasRow(weights, cb.prob, cb.alias, scratch);
     bucket_builds_.fetch_add(1, std::memory_order_relaxed);
     ready_.fetch_or(bit, std::memory_order_release);
   }
@@ -333,12 +337,10 @@ class DynamicSamplerOverlay {
 
   void BuildRow(vertex_id_t v, std::span<const real_t> weights) {
     if (slot_[v] == kInvalidSlot) {
-      // LazyAliasRow is address-pinned (mutex + atomics), so rows live
-      // behind unique_ptr instead of inline in the vector.
       slot_[v] = static_cast<uint32_t>(rows_.size());
-      rows_.push_back(std::make_unique<LazyAliasRow>());
+      rows_.emplace_back();
     }
-    rows_[slot_[v]]->Build(weights);
+    rows_[slot_[v]].Build(weights);
     ++full_builds_;
   }
 
@@ -367,8 +369,8 @@ class DynamicSamplerOverlay {
   uint64_t incremental_updates() const { return incremental_updates_; }
   uint64_t bucket_builds() const {
     uint64_t total = 0;
-    for (const auto& row : rows_) {
-      total += row->bucket_builds();
+    for (const LazyAliasRow& row : rows_) {
+      total += row.bucket_builds();
     }
     return total;
   }
@@ -378,15 +380,17 @@ class DynamicSamplerOverlay {
 
   LazyAliasRow& Row(vertex_id_t v) {
     KK_DCHECK(slot_[v] != kInvalidSlot);
-    return *rows_[slot_[v]];
+    return rows_[slot_[v]];
   }
   const LazyAliasRow& Row(vertex_id_t v) const {
     KK_DCHECK(slot_[v] != kInvalidSlot);
-    return *rows_[slot_[v]];
+    return rows_[slot_[v]];
   }
 
   std::vector<uint32_t> slot_;
-  std::vector<std::unique_ptr<LazyAliasRow>> rows_;
+  // LazyAliasRow is address-pinned (mutex + atomics): a deque grows without
+  // moving its elements.
+  std::deque<LazyAliasRow> rows_;
   uint64_t full_builds_ = 0;
   uint64_t incremental_updates_ = 0;
 };

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "src/graph/delta_store.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics_registry.h"
+#include "src/sampling/static_sampler.h"
 #include "src/sampling/weight_class.h"
 #include "src/testing/fault_injector.h"
 #include "src/util/rng.h"
@@ -650,6 +653,92 @@ TEST(IncrementalSamplerTest, AliasModeBuildsSummariesEagerlyBucketsLazily) {
 }
 
 // ---------------------------------------------------------------------------
+// Incremental merges: a merge rebuilds the static tables of dirty rows only.
+// ---------------------------------------------------------------------------
+
+// Eight batches of random inserts, deletes and reweights, a quarter of them
+// on five hot sources, so rows cross merge_threshold 4 again and again.
+// Deletes and reweights name edges the row holds, and no row drops below
+// one edge.
+MutationLog RandomChurnLog(const Csr<WeightedEdgeData>& csr) {
+  const vertex_id_t n = csr.num_vertices();
+  std::vector<std::vector<vertex_id_t>> rows(n);
+  for (vertex_id_t v = 0; v < n; ++v) {
+    for (const auto& adj : csr.Neighbors(v)) {
+      rows[v].push_back(adj.neighbor);
+    }
+  }
+  Rng rng(kSeed);
+  MutationLog log(kSeed);
+  for (uint64_t epoch = 1; epoch <= 8; ++epoch) {
+    std::vector<EdgeMutation> muts;
+    for (int i = 0; i < 40; ++i) {
+      const auto src = static_cast<vertex_id_t>(rng.NextUInt64(4) == 0 ? rng.NextUInt64(5)
+                                                                       : rng.NextUInt64(n));
+      std::vector<vertex_id_t>& row = rows[src];
+      const auto w = static_cast<real_t>(0.25 + rng.NextDouble() * 8.0);
+      const size_t j = rng.NextUInt64(row.size());
+      switch (rng.NextUInt64(3)) {
+        case 0: {
+          const auto dst = static_cast<vertex_id_t>(rng.NextUInt64(n));
+          muts.push_back(Ins(src, dst, w));
+          row.push_back(dst);
+          break;
+        }
+        case 1:
+          if (row.size() > 1) {
+            muts.push_back(Del(src, row[j]));
+            row[j] = row.back();
+            row.pop_back();
+          }
+          break;
+        default:
+          muts.push_back(Rew(src, row[j], w));
+          break;
+      }
+    }
+    log.Append(epoch, std::move(muts));
+  }
+  return log;
+}
+
+// After several merges, the tables the engine carried over and rebuilt row
+// by row equal a fresh full build over the merged CSR: same totals, same
+// bounds, same draws from the same RNG.
+TEST(IncrementalMergeTest, MergedTablesEqualAFullBuild) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(300, 8, 303), 0.5f, 6.0f, 13);
+  const MutationLog log = RandomChurnLog(Csr<WeightedEdgeData>::FromEdgeList(edges));
+  for (StaticSamplerKind kind : {StaticSamplerKind::kAlias, StaticSamplerKind::kIts}) {
+    SCOPED_TRACE(StaticSamplerKindName(kind));
+    WalkEngineOptions opts = BaseOptions(2, WorkersFromEnv());
+    opts.mutation_log = &log;
+    opts.merge_threshold = 4;
+    opts.sampler_kind = kind;
+    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+    engine.Run(DeepWalkTransition<WeightedEdgeData>(),
+               DeepWalkWalkers(100, {.walk_length = 12}));
+    ASSERT_GE(engine.mutation_counters().merges, 3u);
+
+    const StaticSamplerSet<WeightedEdgeData>& merged = engine.static_sampler();
+    StaticSamplerSet<WeightedEdgeData> fresh;
+    fresh.Build(engine.graph(), kind, nullptr);
+    EXPECT_EQ(merged.MemoryBytes(), fresh.MemoryBytes());
+    Rng merged_rng(kSeed);
+    Rng fresh_rng(kSeed);
+    for (vertex_id_t v = 0; v < engine.graph().num_vertices(); ++v) {
+      ASSERT_EQ(merged.TotalWeight(v), fresh.TotalWeight(v)) << "vertex " << v;
+      ASSERT_EQ(merged.MaxWeight(v), fresh.MaxWeight(v)) << "vertex " << v;
+      if (fresh.TotalWeight(v) <= 0.0) {
+        continue;
+      }
+      for (int i = 0; i < 32; ++i) {
+        ASSERT_EQ(merged.Sample(v, merged_rng), fresh.Sample(v, fresh_rng)) << "vertex " << v;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Distribution correctness over a mutated row.
 // ---------------------------------------------------------------------------
 
@@ -781,6 +870,71 @@ TEST(MutationCheckpointTest, RestoreRefusesMismatchedLog) {
     EXPECT_FALSE(engine.LoadCheckpoint(path));
   }
   std::remove(path.c_str());
+}
+
+// Crash recovery refuses a snapshot written under another mutation log:
+// replaying this log's prefix under it would put walkers on a graph history
+// they never walked. The run's only snapshot, saved at superstep 0, is
+// swapped once the walk is under way for one of the same Run shape. Only
+// the mutation prefix hash tells a foreign snapshot from a snapshot written
+// under a byte-identical log, which restores.
+TEST(MutationCheckpointDeathTest, RecoveryRefusesSnapshotFromAnotherLog) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
+  auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
+  const MutationLog log = BuildSchedule(csr);
+  const MutationLog same = BuildSchedule(csr);
+  MutationLog other(kSeed);
+  other.Append(1, {Ins(4, 100, 3.5f)});
+  other.Append(3, {Del(9, csr.Neighbors(9)[0].neighbor)});
+  other.Append(5, {Ins(50, 51, 1.0f)});
+  const auto walkers = DeepWalkWalkers(60, {.walk_length = 12});
+
+  // The last snapshot of a reliable Run under `writer_log`: superstep 8,
+  // after all three batches.
+  auto write_snapshot = [&](const MutationLog& writer_log, const std::string& path) {
+    FaultInjector injector(FaultPolicy{});
+    WalkEngineOptions opts = BaseOptions(2, 0);
+    opts.mutation_log = &writer_log;
+    opts.fault_injector = &injector;
+    opts.checkpoint_every = 4;
+    opts.checkpoint_path = path;
+    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+    engine.Run(DeepWalkTransition<WeightedEdgeData>(), walkers);
+  };
+  // Runs `log` with a crash at superstep 6 after `swap_in` replaced the
+  // snapshot; returns the recoveries.
+  auto run_with_swapped_snapshot = [&](const std::string& swap_in) {
+    const std::string path = SnapshotPath("swapped");
+    FaultInjector injector(FaultPolicy{});
+    injector.CrashNode(1, 6);
+    WalkEngineOptions opts = BaseOptions(2, 0);
+    opts.mutation_log = &log;
+    opts.fault_injector = &injector;
+    opts.checkpoint_every = 1000;  // only superstep 0 saves
+    opts.checkpoint_path = path;
+    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+    WalkerSpec<> swapping = walkers;
+    std::atomic<bool> swapped{false};
+    swapping.terminate_if = [&](const Walker<>& w) {
+      if (w.step >= 1 && !swapped.exchange(true)) {
+        std::filesystem::copy_file(swap_in, path,
+                                   std::filesystem::copy_options::overwrite_existing);
+      }
+      return false;
+    };
+    engine.Run(DeepWalkTransition<WeightedEdgeData>(), swapping);
+    std::remove(path.c_str());
+    return engine.checkpoint_stats().recoveries;
+  };
+
+  const std::string foreign = SnapshotPath("foreign_log");
+  const std::string own = SnapshotPath("same_log");
+  write_snapshot(other, foreign);
+  write_snapshot(same, own);
+  EXPECT_EQ(run_with_swapped_snapshot(own), 1u);
+  EXPECT_DEATH(run_with_swapped_snapshot(foreign), "cannot restore checkpoint");
+  std::remove(foreign.c_str());
+  std::remove(own.c_str());
 }
 
 // Outside Run, a mutating engine refuses a restore. Its graph already holds

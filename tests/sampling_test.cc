@@ -3,7 +3,9 @@
 // chi-square tests against the target distribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "src/graph/annotate.h"
@@ -16,6 +18,14 @@
 
 namespace knightking {
 namespace {
+
+// Flat tables' row_weights callback over per-edge weights in CSR order.
+auto FlatRows(const std::vector<edge_index_t>& offsets, const std::vector<real_t>& weights) {
+  return [&offsets, &weights](vertex_id_t v, std::span<real_t> out) {
+    std::copy(weights.begin() + static_cast<ptrdiff_t>(offsets[v]),
+              weights.begin() + static_cast<ptrdiff_t>(offsets[v + 1]), out.begin());
+  };
+}
 
 // Chi-square statistic of observed counts against expected proportional
 // weights. dof = (#nonzero weights - 1).
@@ -157,7 +167,7 @@ TEST(FlatItsTest, TrailingZeroWeightsNeverSampled) {
   std::vector<edge_index_t> offsets = {0, 4};
   std::vector<real_t> weights = {3.0f, 1.0f, 0.0f, 0.0f};
   FlatItsTables tables;
-  tables.Build(offsets, weights);
+  tables.Build(offsets, FlatRows(offsets, weights));
   Rng rng(23);
   std::vector<uint64_t> counts(2, 0);
   for (int i = 0; i < 60000; ++i) {
@@ -172,7 +182,7 @@ TEST(FlatItsTest, ZeroTotalVertexDies) {
   std::vector<edge_index_t> offsets = {0, 2, 2, 4};
   std::vector<real_t> weights = {0.0f, 0.0f, 1.0f, 1.0f};
   FlatItsTables tables;
-  tables.Build(offsets, weights);
+  tables.Build(offsets, FlatRows(offsets, weights));
   Rng rng(24);
   EXPECT_DEATH(tables.Sample(0, rng), "");  // all-zero weights
   EXPECT_DEATH(tables.Sample(1, rng), "");  // no edges at all
@@ -204,7 +214,7 @@ TEST(FlatAliasTest, PerVertexSampling) {
   std::vector<edge_index_t> offsets = {0, 3, 3, 7};  // vertex 1 has no edges
   std::vector<real_t> weights = {1.0f, 2.0f, 1.0f, 4.0f, 1.0f, 1.0f, 2.0f};
   FlatAliasTables tables;
-  tables.Build(offsets, weights);
+  tables.Build(offsets, FlatRows(offsets, weights));
   EXPECT_DOUBLE_EQ(tables.TotalWeight(0), 4.0);
   EXPECT_DOUBLE_EQ(tables.TotalWeight(1), 0.0);
   EXPECT_DOUBLE_EQ(tables.TotalWeight(2), 8.0);
@@ -221,7 +231,7 @@ TEST(FlatItsTest, PerVertexSampling) {
   std::vector<edge_index_t> offsets = {0, 2, 5};
   std::vector<real_t> weights = {3.0f, 1.0f, 1.0f, 1.0f, 2.0f};
   FlatItsTables tables;
-  tables.Build(offsets, weights);
+  tables.Build(offsets, FlatRows(offsets, weights));
   EXPECT_DOUBLE_EQ(tables.TotalWeight(0), 4.0);
   EXPECT_DOUBLE_EQ(tables.TotalWeight(1), 4.0);
   Rng rng(12);
