@@ -1,14 +1,16 @@
 // Micro-benchmarks for the graph substrate: generator throughput, CSR
 // construction, neighbor queries (the inner operation of node2vec's
-// distance checks), partitioning, and a mutating graph's batch apply and
-// overlay merge.
+// distance checks), partitioning, a mutating graph's batch apply and
+// overlay merge, and a whole DeepWalk Run with and without the churn log.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "src/apps/deepwalk.h"
 #include "src/engine/mutable_graph.h"
+#include "src/engine/walk_engine.h"
 #include "src/graph/annotate.h"
 #include "src/graph/csr.h"
 #include "src/graph/delta_store.h"
@@ -223,6 +225,31 @@ void BM_MergeOverlay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeOverlay)->Arg(1)->Arg(0)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// One DeepWalk Run (a walker per vertex, 80 steps, four nodes, no worker
+// threads) over the churn graph: arg 0 on the static graph, arg 1 beside the
+// churn log at the engine's default merge threshold. Items are walks, so
+// items_per_second is walks/s, and the churn/static ratio of the two rows
+// is the throughput share the mutation path keeps.
+void BM_DeepWalkRun(benchmark::State& state) {
+  constexpr step_t kWalkLength = 80;
+  const vertex_id_t walkers = Churn().csr.num_vertices();
+  WalkEngineOptions opts;
+  opts.num_nodes = 4;
+  opts.seed = 7;
+  if (state.range(0) != 0) {
+    opts.mutation_log = &Churn().log;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>(Churn().csr), opts);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine.Run(DeepWalkTransition<WeightedEdgeData>(),
+                                        DeepWalkWalkers(walkers, {.walk_length = kWalkLength})));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(walkers));
+}
+BENCHMARK(BM_DeepWalkRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace knightking

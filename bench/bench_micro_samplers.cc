@@ -1,13 +1,15 @@
 // Micro-benchmarks for the sampling substrates: alias table vs ITS build
 // and draw costs (the O(n) build / O(1) vs O(log n) sample trade-off of
-// §3), and a single rejection trial vs a full scan per vertex degree (the
-// asymptotic claim of §4.1 at micro scale).
+// §3), a single rejection trial vs a full scan per vertex degree (the
+// asymptotic claim of §4.1 at micro scale), and one edge reweight on a
+// dynamic row vs rebuilding the row's alias table.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "src/sampling/alias_table.h"
 #include "src/sampling/its.h"
+#include "src/sampling/weight_class.h"
 #include "src/util/rng.h"
 
 namespace knightking {
@@ -97,6 +99,43 @@ void BM_FullScanStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(degree));
 }
 BENCHMARK(BM_FullScanStep)->Range(8, 1 << 16);
+
+// One edge reweight on a LazyAliasRow, the dynamic sampler of a dirty row:
+// O(1) whatever the degree (the rebuild of a stale class waits for the
+// next draw that lands in it)...
+void BM_LazyAliasReweight(benchmark::State& state) {
+  const auto degree = static_cast<uint32_t>(state.range(0));
+  LazyAliasRow row;
+  row.Build(MakeWeights(degree));
+  Rng rng(17);
+  benchmark::DoNotOptimize(&row);
+  for (auto _ : state) {
+    row.Reweight(static_cast<uint32_t>(rng.NextUInt64(degree)),
+                 static_cast<real_t>(rng.NextDouble() * 4.0 + 1.0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LazyAliasReweight)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// ...whereas a static alias row must be rebuilt, O(degree), after each one.
+void BM_AliasRowRebuild(benchmark::State& state) {
+  const auto degree = static_cast<size_t>(state.range(0));
+  auto weights = MakeWeights(degree);
+  std::vector<real_t> prob(degree);
+  std::vector<uint32_t> alias(degree);
+  alias_internal::AliasScratch scratch;
+  benchmark::DoNotOptimize(prob.data());
+  benchmark::DoNotOptimize(alias.data());
+  Rng rng(17);
+  for (auto _ : state) {
+    weights[rng.NextUInt64(degree)] = static_cast<real_t>(rng.NextDouble() * 4.0 + 1.0);
+    benchmark::DoNotOptimize(alias_internal::BuildAliasRow(weights, prob, alias, scratch));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AliasRowRebuild)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng(1);

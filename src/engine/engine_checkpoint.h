@@ -50,10 +50,9 @@ inline bool WalkEngine<EdgeData, WalkerState, QueryResponse>::SnapshotContentVal
 // Serializes the current top-of-loop state to options_.checkpoint_path.
 // The cut is exact: active walkers, parked second-order trials (only under
 // faults), unacknowledged in-flight copies, path logs, per-node stats,
-// plus the driver's dedup/progress state. Mailbox buffers are not part of
-// the snapshot — undelivered retransmits and re-queries are regenerated by
-// the reliability protocol's timeout machinery after a restore, and
-// receiver-side dedup keeps the walk output byte-identical regardless.
+// plus the driver's dedup/progress state. The simulated network's traffic
+// in transit at the cut (delayed messages, posted retransmits, fault
+// epochs) is kept in memory for RecoverFromCrash, not written to the file.
 // A checkpoint that cannot be written aborts the run: silently skipping it
 // would void the recovery guarantee the caller asked for.
 template <typename EdgeData, typename WalkerState, typename QueryResponse>
@@ -116,6 +115,10 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::SaveCheckpoint() {
   KK_CHECK_MSG(w.Close(), "checkpoint write to %s failed", tmp.c_str());
   KK_CHECK_MSG(CommitFile(tmp, options_.checkpoint_path),
                "cannot commit checkpoint to %s", options_.checkpoint_path.c_str());
+  if (reliable_) {
+    transit_at_cut_ = {walker_mail_->CaptureTransit(), query_mail_->CaptureTransit(),
+                       response_mail_->CaptureTransit(), ack_mail_->CaptureTransit()};
+  }
   ckpt_stats_.checkpoints += 1;
   ckpt_stats_.checkpoint_bytes += bytes;
   ckpt_stats_.checkpoint_micros += static_cast<uint64_t>(timer.Seconds() * 1e6);
@@ -220,12 +223,12 @@ inline bool WalkEngine<EdgeData, WalkerState, QueryResponse>::LoadCheckpoint(
 
 // Simulated whole-node failure: node `rank` loses all volatile state, and
 // the cluster performs a coordinated rollback — every node (not just the
-// crashed one) reloads the last committed snapshot and the superstep loop
-// resumes from the restored cut. In-transit messages are wiped with the
-// node; the reliability protocol regenerates them. Mailbox fault epochs are
-// deliberately NOT rewound, so the injector may deal the replayed
-// supersteps a different fault schedule — the protocol makes walk output
-// invariant to that too, which is exactly what the recovery tests assert.
+// crashed one) reloads the last committed snapshot, the network goes back
+// to the traffic it carried at that cut, and the superstep loop resumes
+// from there. Rewinding the network matters on a mutating graph: there a
+// message's fault schedule decides which superstep, and so which graph, a
+// walker steps on, and a replay that dealt different faults (or lost the
+// delayed messages) would walk a different path than the crash-free run.
 template <typename EdgeData, typename WalkerState, typename QueryResponse>
 inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::RecoverFromCrash(node_rank_t rank) {
   KK_CHECK_MSG(options_.checkpoint_every > 0,
@@ -234,10 +237,10 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::RecoverFromCrash(n
   obs::StageTimer span(options_.trace, "recover", 0, superstep_);
   NodeState& crashed = *nodes_[rank];
   crashed.DropWalkState();
-  walker_mail_->Wipe();
-  query_mail_->Wipe();
-  response_mail_->Wipe();
-  ack_mail_->Wipe();
+  walker_mail_->RestoreTransit(transit_at_cut_.walker);
+  query_mail_->RestoreTransit(transit_at_cut_.query);
+  response_mail_->RestoreTransit(transit_at_cut_.response);
+  ack_mail_->RestoreTransit(transit_at_cut_.ack);
   KK_CHECK_MSG(LoadCheckpoint(options_.checkpoint_path),
                "cannot restore checkpoint %s after node %u crash",
                options_.checkpoint_path.c_str(), static_cast<unsigned>(rank));

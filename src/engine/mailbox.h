@@ -160,25 +160,36 @@ class Mailbox {
     }
   }
 
-  // Discards every undelivered message — posted-but-unexchanged outgoing
-  // batches, the last Exchange's inboxes, and fault-delayed stragglers —
-  // modelling the loss of all in-transit traffic at a node crash. Counters
-  // and the fault epoch survive: recovery rolls the *engine* back, not the
-  // simulated network's history, so replayed supersteps may draw a different
-  // fault schedule (the reliability protocol makes walk output invariant to
-  // that). Driver-only, like Exchange(), and unlocked for the same reason.
-  void Wipe() KK_NO_THREAD_SAFETY_ANALYSIS {
-    for (auto& buf : outgoing_) {
-      buf.clear();
+  // The traffic in transit at a BSP barrier, where every inbox has been
+  // drained: posted-but-unexchanged batches, fault-delayed stragglers, and
+  // the fault epoch that keys the next Exchange's decisions.
+  struct Transit {
+    uint64_t epoch = 0;
+    std::vector<std::vector<MessageT>> outgoing;
+    std::vector<std::vector<node_rank_t>> posted;  // per sender, as in Sender
+    std::vector<std::vector<MessageT>> delayed;
+  };
+
+  // Copies the traffic in transit. Driver-only, at a barrier.
+  Transit CaptureTransit() const KK_NO_THREAD_SAFETY_ANALYSIS {
+    Transit t{.epoch = epoch_, .outgoing = outgoing_, .posted = {}, .delayed = delayed_};
+    for (const Sender& sender : senders_) {
+      t.posted.push_back(sender.posted);
     }
-    for (Sender& sender : senders_) {
-      sender.posted.clear();
-    }
-    for (auto& inbox : incoming_) {
-      inbox.clear();
-    }
-    for (auto& d : delayed_) {
-      d.clear();
+    return t;
+  }
+
+  // Rolls the simulated network back to a captured barrier: whatever is in
+  // transit now is lost, and `t`'s traffic and fault epoch take its place,
+  // so the following Exchanges deliver, drop, delay and duplicate exactly
+  // what they did after the capture. Counters keep counting. Driver-only.
+  void RestoreTransit(const Transit& t) KK_NO_THREAD_SAFETY_ANALYSIS {
+    Wipe();
+    epoch_ = t.epoch;
+    outgoing_ = t.outgoing;
+    delayed_ = t.delayed;
+    for (size_t src = 0; src < senders_.size(); ++src) {
+      senders_[src].posted = t.posted[src];
     }
   }
 
@@ -247,6 +258,23 @@ class Mailbox {
   }
 
  private:
+  // Discards every undelivered message: outgoing batches, inboxes and
+  // fault-delayed stragglers. Driver-only.
+  void Wipe() KK_NO_THREAD_SAFETY_ANALYSIS {
+    for (auto& buf : outgoing_) {
+      buf.clear();
+    }
+    for (Sender& sender : senders_) {
+      sender.posted.clear();
+    }
+    for (auto& inbox : incoming_) {
+      inbox.clear();
+    }
+    for (auto& d : delayed_) {
+      d.clear();
+    }
+  }
+
   // One sender's lock and the destinations it posted to since the last
   // Exchange (each listed once, when its channel first fills). The lock
   // also covers the sender's outgoing_ row and its posted_* counters — a

@@ -1113,6 +1113,15 @@ class WalkEngine {
   std::unique_ptr<Mailbox<QueryMsg>> query_mail_;
   std::unique_ptr<Mailbox<ResponseMsg>> response_mail_;
   std::unique_ptr<Mailbox<AckMsg>> ack_mail_;
+  // The mailboxes' traffic in transit at the last checkpoint cut, taken
+  // under fault injection for crash recovery (engine_checkpoint.h).
+  struct TransitAtCut {
+    typename Mailbox<WalkerT>::Transit walker;
+    typename Mailbox<QueryMsg>::Transit query;
+    typename Mailbox<ResponseMsg>::Transit response;
+    typename Mailbox<AckMsg>::Transit ack;
+  };
+  TransitAtCut transit_at_cut_;
   // Highest step accepted per walker (reliability protocol dedup; only
   // consulted by the sequential driver loop, never by worker threads).
   std::vector<step_t> walker_progress_;

@@ -4,7 +4,10 @@
 // path-scoped rules fire exactly as they would on real sources.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -16,8 +19,8 @@
 namespace kklint {
 namespace {
 
-#ifndef KK_LINT_TESTDATA_DIR
-#error "KK_LINT_TESTDATA_DIR must be defined by the build"
+#if !defined(KK_LINT_TESTDATA_DIR) || !defined(KK_LINT_BIN)
+#error "KK_LINT_TESTDATA_DIR and KK_LINT_BIN must be defined by the build"
 #endif
 
 std::string ReadFixture(const std::string& rel) {
@@ -85,6 +88,41 @@ TEST(KkLintTest, Kk003SeesDeclarationsFromOtherFiles) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "KK003");
   EXPECT_EQ(findings[0].line, 2u);
+}
+
+// Runs the kk-lint binary with --root at the fixture tree; returns its
+// output and sets *exit_code to its exit status.
+std::string RunKkLint(const std::string& args, int* exit_code) {
+  const std::string cmd =
+      std::string(KK_LINT_BIN) + " --root " + KK_LINT_TESTDATA_DIR + " " + args + " 2>&1";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << cmd;
+  std::string out;
+  char buf[256];
+  while (pipe != nullptr && std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    out += buf;
+  }
+  const int status = pipe != nullptr ? pclose(pipe) : -1;
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return out;
+}
+
+// The driver's file-selecting modes (explicit files, and CI's lint pre-gate's
+// --changed-only) still read the whole tree for KK003's names: a selected
+// file that walks a container declared in an unselected header is flagged.
+TEST(KkLintTest, Kk003SeesTreeDeclarationsWhenLintingSelectedFiles) {
+  const std::string loop = "src/engine/kk003_cross_file_loop.cc";
+  const std::string list = testing::TempDir() + "kk_lint_cross_file_changed.txt";
+  std::ofstream(list) << loop << "\n";
+  for (const std::string& args :
+       {std::string(KK_LINT_TESTDATA_DIR) + "/" + loop, "--changed-only " + list}) {
+    SCOPED_TRACE(args);
+    int exit_code = -1;
+    std::string out = RunKkLint(args, &exit_code);
+    EXPECT_EQ(exit_code, 1) << out;
+    EXPECT_NE(out.find(loop + ":8: [KK003]"), std::string::npos) << out;
+    EXPECT_NE(out.find("kk-lint: 1 file(s)"), std::string::npos) << out;
+  }
 }
 
 TEST(KkLintTest, Kk004SamplingNarrowingFixture) {

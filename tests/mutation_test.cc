@@ -378,10 +378,12 @@ struct MatrixRun {
   CheckpointStats ckpt;
 };
 
-// One cell of the matrix. `crash_epoch` schedules an epoch-keyed crash;
-// `crash_batch` additionally pins a crash to a mutation batch id.
+// One cell of the matrix. `fault_rate` is both the drop and the delay
+// probability (0 = no message faults); `crash_epoch` schedules an
+// epoch-keyed crash of node 1; `crash_batch` additionally pins a crash of
+// node 2 to a mutation batch id.
 MatrixRun RunDeepWalkWithMutations(const EdgeList<WeightedEdgeData>& edges,
-                                   const MutationLog& log, size_t workers, bool faulty,
+                                   const MutationLog& log, size_t workers, double fault_rate,
                                    std::optional<uint64_t> crash_epoch,
                                    std::optional<uint64_t> crash_batch,
                                    uint32_t merge_threshold, const std::string& tag) {
@@ -389,13 +391,8 @@ MatrixRun RunDeepWalkWithMutations(const EdgeList<WeightedEdgeData>& edges,
   opts.mutation_log = &log;
   opts.merge_threshold = merge_threshold;
   FaultInjector* injector_ptr = nullptr;
-  FaultPolicy policy;
-  if (faulty) {
-    policy.drop = 0.1;
-    policy.delay = 0.1;
-  }
-  FaultInjector injector(policy);
-  if (faulty || crash_epoch.has_value() || crash_batch.has_value()) {
+  FaultInjector injector(FaultPolicy{.drop = fault_rate, .delay = fault_rate});
+  if (fault_rate > 0.0 || crash_epoch.has_value() || crash_batch.has_value()) {
     injector_ptr = &injector;
     opts.fault_injector = injector_ptr;
   }
@@ -442,8 +439,9 @@ TEST(MutationDeterminismTest, DeepWalkMatrixIsByteIdentical) {
     for (bool faulty : {false, true}) {
       SCOPED_TRACE("merge_threshold=" + std::to_string(merge_threshold) +
                    " faulty=" + std::to_string(faulty));
+      const double fault_rate = faulty ? 0.1 : 0.0;
       MatrixRun reference =
-          RunDeepWalkWithMutations(edges, log, /*workers=*/0, faulty, std::nullopt,
+          RunDeepWalkWithMutations(edges, log, /*workers=*/0, fault_rate, std::nullopt,
                                    std::nullopt, merge_threshold, "ref");
       ASSERT_FALSE(reference.paths.empty());
       EXPECT_GT(reference.mutations.applied(), 0u);
@@ -458,7 +456,7 @@ TEST(MutationDeterminismTest, DeepWalkMatrixIsByteIdentical) {
           std::string tag = "m" + std::to_string(merge_threshold) + "_f" +
                             std::to_string(faulty) + "_" + std::to_string(variant++);
           MatrixRun run = RunDeepWalkWithMutations(
-              edges, log, workers, faulty,
+              edges, log, workers, fault_rate,
               crash ? std::optional<uint64_t>(4) : std::nullopt, std::nullopt,
               merge_threshold, tag);
           EXPECT_EQ(run.paths, reference.paths) << "mutating walk diverged";
@@ -481,17 +479,45 @@ TEST(MutationDeterminismTest, CrashPinnedToMutationBatchRecovers) {
   auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
   auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
   MutationLog log = BuildSchedule(csr);
-  MatrixRun reference = RunDeepWalkWithMutations(edges, log, 0, false, std::nullopt,
+  MatrixRun reference = RunDeepWalkWithMutations(edges, log, 0, 0.0, std::nullopt,
                                                  std::nullopt, 0, "bref");
   // Crash node 2 the instant the epoch-3 batch applies. Its id is a content
   // hash — the test does not need to know the epoch schedule. That batch
   // mutates vertices 4/9/120, including the crashed node's own vertex range
   // (4 nodes x 200 vertices -> node 2 owns [100, 150)): recovery must replay
   // the mutation for the crashed range, not just restore walker state.
-  MatrixRun run = RunDeepWalkWithMutations(edges, log, WorkersFromEnv(), false,
+  MatrixRun run = RunDeepWalkWithMutations(edges, log, WorkersFromEnv(), 0.0,
                                            std::nullopt, log.batch(1).id, 0, "batchcrash");
   EXPECT_EQ(run.paths, reference.paths);
   EXPECT_GT(run.ckpt.recoveries, 0u);
+}
+
+TEST(MutationDeterminismTest, FaultedChurnRecoversTwoCrashesAtEveryMergeThreshold) {
+  // Message faults (5% drop, 5% delay) plus two crashes: node 1 at epoch 3,
+  // and node 2 the moment the epoch-5 batch applies, after a checkpoint has
+  // been cut. Both recoveries must replay the mutation prefix so the walk
+  // ends byte-identical to the same fault policy's crash-free run, at a
+  // merge threshold that folds the overlay mid-run (4) and at one that
+  // never merges (0), where lazily built dirty rows survive both crashes.
+  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
+  auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
+  MutationLog log = BuildSchedule(csr);
+  for (uint32_t merge_threshold : {4u, 0u}) {
+    SCOPED_TRACE("merge_threshold=" + std::to_string(merge_threshold));
+    const std::string tag = "faultcrash_m" + std::to_string(merge_threshold);
+    MatrixRun reference = RunDeepWalkWithMutations(
+        edges, log, 0, 0.05, std::nullopt, std::nullopt, merge_threshold, tag + "_ref");
+    MatrixRun run =
+        RunDeepWalkWithMutations(edges, log, WorkersFromEnv(), 0.05, std::optional<uint64_t>(3),
+                                 log.batch(2).id, merge_threshold, tag);
+    ASSERT_FALSE(reference.paths.empty());
+    EXPECT_EQ(run.paths, reference.paths);
+    EXPECT_EQ(run.ckpt.recoveries, 2u);
+    EXPECT_GT(run.ckpt.checkpoints, 0u);
+    if (merge_threshold != 0) {
+      EXPECT_GT(run.mutations.merges, 0u);
+    }
+  }
 }
 
 TEST(MutationDeterminismTest, DynamicTransitionWithMutationsIsDeterministic) {
@@ -527,14 +553,14 @@ TEST(MutationDeterminismTest, AliasSamplerCrashRecoveryIsByteIdentical) {
   auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
   auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
   MutationLog log = BuildSchedule(csr);
-  MatrixRun reference = RunDeepWalkWithMutations(edges, log, 0, false, std::nullopt,
+  MatrixRun reference = RunDeepWalkWithMutations(edges, log, 0, 0.0, std::nullopt,
                                                  std::nullopt, /*merge_threshold=*/0, "alref");
   ASSERT_FALSE(reference.paths.empty());
   EXPECT_GT(reference.mutations.bucket_builds, 0u);
   for (uint64_t crash_epoch : {2u, 6u}) {
     SCOPED_TRACE("crash_epoch=" + std::to_string(crash_epoch));
     MatrixRun run = RunDeepWalkWithMutations(
-        edges, log, WorkersFromEnv(), false, std::optional<uint64_t>(crash_epoch),
+        edges, log, WorkersFromEnv(), 0.0, std::optional<uint64_t>(crash_epoch),
         std::nullopt, /*merge_threshold=*/0, "alcrash" + std::to_string(crash_epoch));
     EXPECT_EQ(run.paths, reference.paths);
     EXPECT_GT(run.ckpt.recoveries, 0u);

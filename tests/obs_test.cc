@@ -231,77 +231,41 @@ TEST(MetricsCheckerTest, ValidatesHotpathLocalityFields) {
   EXPECT_FALSE(metrics::CheckJsonText(bad_counter).ok);
 }
 
-// Minimal valid bench_mutation report shared by the checker and diff tests.
-std::string MutationReport(double churn_walks_per_sec, double recoveries) {
+// Minimal valid bench_hotpath report shared by the diff tests.
+std::string HotpathReport(double walks_per_sec) {
   std::string out = R"({
     "schema_version": 1,
-    "bench": "mutation",
-    "config": {"small": true, "faults": true, "num_nodes": 4,
-               "workers_per_node": 0, "merge_threshold": 64,
-               "graph_vertices": 100, "graph_edges": 400},
-    "update_cost": [{
-      "degree": 256, "updates": 1000, "incremental_ns_per_update": 15.0,
-      "rebuild_ns_per_update": 6000.0, "speedup": 400.0
-    }],
+    "bench": "hotpath",
+    "config": {"small": true, "sort_batches": true, "num_nodes": 4,
+               "workers_per_node": 0, "graph_vertices": 100, "graph_edges": 400},
     "workloads": [{
-      "name": "deepwalk_churn", "walkers": 100, "seconds": 0.5,
-      "walks_per_sec": @WPS@, "steps_per_sec": 1000.0, "steps": 500,
-      "mutation_batches": 10, "mutations_applied": 40, "mutations_rejected": 1,
-      "rows_materialized": 4, "sampler_full_builds": 4, "sampler_bucket_builds": 9,
-      "sampler_incremental_updates": 36, "merges": 2, "merge_micros": 120,
-      "recoveries": @REC@
+      "name": "deepwalk", "walkers": 100, "seconds": 0.5, "walks_per_sec": @WPS@,
+      "steps_per_sec": 1000.0, "steps": 500, "iterations": 30,
+      "edges_per_step": 0.0,
+      "phase_seconds": {"sample": 0.1, "respond": 0.0, "resolve": 0.0,
+                        "exchange": 0.2},
+      "cross_node_messages": 10, "cross_node_bytes": 640
     }]
   })";
-  auto sub = [&out](const std::string& tag, double value) {
-    size_t pos = out.find(tag);
-    ASSERT_NE(pos, std::string::npos);
-    out.replace(pos, tag.size(), std::to_string(value));
-  };
-  sub("@WPS@", churn_walks_per_sec);
-  sub("@REC@", recoveries);
+  const std::string tag = "@WPS@";
+  out.replace(out.find(tag), tag.size(), std::to_string(walks_per_sec));
   return out;
-}
-
-TEST(MetricsCheckerTest, ValidatesMutationBenchReports) {
-  const std::string valid = MutationReport(200.0, 2.0);
-  metrics::CheckResult r = metrics::CheckJsonText(valid);
-  EXPECT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.kind, "mutation");
-
-  // Every mutation counter is required — a report that forgets one (schema
-  // drift in bench_mutation.cc) must fail loudly in CI.
-  std::string broken = valid;
-  size_t pos = broken.find("\"merges\": 2,");
-  ASSERT_NE(pos, std::string::npos);
-  broken.erase(pos, std::string("\"merges\": 2,").size());
-  metrics::CheckResult r_broken = metrics::CheckJsonText(broken);
-  EXPECT_FALSE(r_broken.ok);
-  EXPECT_NE(r_broken.error.find("merges"), std::string::npos) << r_broken.error;
-
-  // The update-cost microbenchmark table is part of the contract too.
-  std::string no_updates = valid;
-  pos = no_updates.find("\"update_cost\"");
-  ASSERT_NE(pos, std::string::npos);
-  size_t end = no_updates.find("],", pos);
-  ASSERT_NE(end, std::string::npos);
-  no_updates.replace(pos, end + 2 - pos, "\"update_cost\": [],");
-  EXPECT_FALSE(metrics::CheckJsonText(no_updates).ok);
 }
 
 TEST(MetricsCheckerTest, DiffRendersPerMetricDeltas) {
   obs::JsonValue old_doc;
   obs::JsonValue new_doc;
   std::string error;
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(200.0, 2.0), &old_doc, &error)) << error;
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(250.0, 2.0), &new_doc, &error)) << error;
+  ASSERT_TRUE(obs::JsonValue::Parse(HotpathReport(200.0), &old_doc, &error)) << error;
+  ASSERT_TRUE(obs::JsonValue::Parse(HotpathReport(250.0), &new_doc, &error)) << error;
 
   std::string diff = metrics::DiffDocuments(old_doc, new_doc);
   // Rows are keyed by workload name, changed metrics carry the delta and
   // percentage, unchanged metrics are dashed out.
-  EXPECT_NE(diff.find("| workloads.deepwalk_churn.walks_per_sec | 200 | 250 | +50 (+25.0%) |"),
+  EXPECT_NE(diff.find("| workloads.deepwalk.walks_per_sec | 200 | 250 | +50 (+25.0%) |"),
             std::string::npos)
       << diff;
-  EXPECT_NE(diff.find("| workloads.deepwalk_churn.merges | 2 | 2 | — |"), std::string::npos)
+  EXPECT_NE(diff.find("| workloads.deepwalk.iterations | 30 | 30 | — |"), std::string::npos)
       << diff;
 
   // Invalid input and cross-kind comparisons are refused.
@@ -314,53 +278,26 @@ TEST(MetricsCheckerTest, DiffListsOneSidedMetricsAsAddedAndRemoved) {
   // Rename the workload on one side: every metric under it then exists in
   // only one report, so the diff must render added/removed rows instead of
   // silently dropping them (or worse, pairing them up by position).
-  std::string renamed = MutationReport(250.0, 2.0);
-  size_t pos = renamed.find("\"deepwalk_churn\"");
+  std::string renamed = HotpathReport(250.0);
+  size_t pos = renamed.find("\"deepwalk\"");
   ASSERT_NE(pos, std::string::npos);
-  renamed.replace(pos, std::string("\"deepwalk_churn\"").size(), "\"deepwalk_alias\"");
+  renamed.replace(pos, std::string("\"deepwalk\"").size(), "\"node2vec\"");
 
   obs::JsonValue old_doc;
   obs::JsonValue new_doc;
   std::string error;
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(200.0, 2.0), &old_doc, &error)) << error;
+  ASSERT_TRUE(obs::JsonValue::Parse(HotpathReport(200.0), &old_doc, &error)) << error;
   ASSERT_TRUE(obs::JsonValue::Parse(renamed, &new_doc, &error)) << error;
 
   std::string diff = metrics::DiffDocuments(old_doc, new_doc);
-  EXPECT_NE(diff.find("| workloads.deepwalk_alias.walks_per_sec | — | 250 | added |"),
+  EXPECT_NE(diff.find("| workloads.node2vec.walks_per_sec | — | 250 | added |"),
             std::string::npos)
       << diff;
-  EXPECT_NE(diff.find("| workloads.deepwalk_churn.walks_per_sec | 200 | — | removed |"),
+  EXPECT_NE(diff.find("| workloads.deepwalk.walks_per_sec | 200 | — | removed |"),
             std::string::npos)
       << diff;
-  // Shared paths (config, update_cost) still diff normally alongside.
-  EXPECT_NE(diff.find("| config.merge_threshold | 64 | 64 | — |"), std::string::npos) << diff;
-}
-
-TEST(MetricsCheckerTest, GateRatioFlagsChurnRegressions) {
-  obs::JsonValue baseline;
-  obs::JsonValue healthy;
-  obs::JsonValue regressed;
-  std::string error;
-  // steps_per_sec is fixed at 1000 in the fixture, so the gated ratio tracks
-  // walks_per_sec: baseline 0.2, healthy 0.25, regressed 0.05.
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(200.0, 2.0), &baseline, &error)) << error;
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(250.0, 2.0), &healthy, &error)) << error;
-  ASSERT_TRUE(obs::JsonValue::Parse(MutationReport(50.0, 2.0), &regressed, &error)) << error;
-
-  const std::string num = "workloads.deepwalk_churn.walks_per_sec";
-  const std::string den = "workloads.deepwalk_churn.steps_per_sec";
-  EXPECT_NE(metrics::GateRatio(baseline, healthy, num, den, 0.5).rfind("error:", 0), 0u);
-  // Equal documents pass at any floor ≤ 1.
-  EXPECT_NE(metrics::GateRatio(baseline, baseline, num, den, 1.0).rfind("error:", 0), 0u);
-
-  std::string fail = metrics::GateRatio(baseline, regressed, num, den, 0.5);
-  EXPECT_EQ(fail.rfind("error:", 0), 0u) << fail;
-  EXPECT_NE(fail.find("ratio regression"), std::string::npos) << fail;
-
-  // Missing metrics are an error, not a silent pass.
-  EXPECT_EQ(metrics::GateRatio(baseline, healthy, "workloads.nope.walks_per_sec", den, 0.5)
-                .rfind("error:", 0),
-            0u);
+  // Shared paths (config) still diff normally alongside.
+  EXPECT_NE(diff.find("| config.num_nodes | 4 | 4 | — |"), std::string::npos) << diff;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // The serving determinism contract (docs/SERVING.md): a response is a pure
 // function of (service seed, index, query content). The matrix here replays
 // one query trace across worker counts 0/4 and cache on/off and requires the
-// concatenated canonical response streams to be byte-identical; the LRU's
+// concatenated canonical response streams to be byte-identical, also with
+// message faults injected into every engine run; the LRU's
 // hit/miss/eviction counters must match the exported obs metrics exactly.
 // Segment-index files get the same corruption matrix the checkpoint format
 // has: every mutation must fail cleanly at load, before any allocation blow-
@@ -26,6 +27,7 @@
 #include "src/obs/trace.h"
 #include "src/service/segment_index.h"
 #include "src/service/walk_service.h"
+#include "src/testing/fault_injector.h"
 #include "src/util/rng.h"
 #include "tools/kk-metrics/check.h"
 
@@ -111,6 +113,27 @@ TEST(ServiceDeterminismTest, ResponseStreamInvariantAcrossWorkersAndCache) {
             << "response stream diverged at workers=" << workers << " cache=" << cache;
       }
     }
+  }
+  // Message faults in every engine run (index build and live walks) over
+  // four nodes, since faults hit cross-node channels only: the reliability
+  // protocol must hide them, so the stream stays byte-identical to the
+  // fault-free single-node reference.
+  for (size_t workers : {size_t{0}, WorkersFromEnv()}) {
+    SCOPED_TRACE("faulted, workers=" + std::to_string(workers));
+    FaultInjector injector(
+        FaultPolicy{.drop = 0.02, .delay = 0.02, .duplicate = 0.01, .reorder = true});
+    WalkServiceOptions opts = BaseOptions(workers, 16);
+    opts.engine.num_nodes = 4;
+    opts.engine.fault_injector = &injector;
+    WalkService<EmptyEdgeData> service(TestGraph(), opts);
+    service.BuildIndex();
+    injector.ResetCounters();  // count the live walks' faults only
+    EXPECT_EQ(ServeTrace(service, trace), reference);
+    const FaultCounters fired = injector.counters();
+    EXPECT_GT(fired.dropped, 0u);
+    EXPECT_GT(fired.delayed, 0u);
+    EXPECT_GT(fired.duplicated, 0u);
+    EXPECT_GT(service.counters().live_walks, 0u);
   }
 }
 

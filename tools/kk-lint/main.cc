@@ -10,9 +10,10 @@
 // to --root). With --changed-only, lints the files named in <listfile> (one
 // path per line, as produced by `git diff --name-only`), silently skipping
 // deleted files and non-C++ paths — the fast pre-gate for incremental CI.
-// Otherwise the file list is the translation units from
-// compile_commands.json that live under the root, plus every header in the
-// directories those units came from.
+// Otherwise lints the tree: the translation units from compile_commands.json
+// that live under the root, plus every source under src/, tests/, bench/,
+// examples/ and tools/. The tree is read in every mode for KK003's container
+// names, so a file linted alone still sees declarations made elsewhere.
 //
 // Exit-code contract (asserted by the lint golden tests, relied on by CI):
 //   0  clean — no findings, and (with --report-unused-waivers) no stale
@@ -115,23 +116,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Assemble the file list: explicit args win; otherwise compile_commands
-  // translation units plus headers under the standard lint directories.
-  std::vector<std::pair<std::string, std::string>> files;  // (abs, rel)
-  std::set<std::string> seen;
-  auto add = [&](const fs::path& p) {
+  // (abs, rel) pairs, each rel once.
+  using FileList = std::vector<std::pair<std::string, std::string>>;
+  auto add = [&](const fs::path& p, FileList* list, std::set<std::string>* seen) {
     std::error_code add_ec;
     fs::path abs = fs::canonical(p, add_ec);
     if (add_ec) {
       return;
     }
     std::string rel = RelativeTo(root, abs);
-    if (IsExcluded(rel) || !seen.insert(rel).second) {
+    if (IsExcluded(rel) || !seen->insert(rel).second) {
       return;
     }
-    files.emplace_back(abs.string(), rel);
+    list->emplace_back(abs.string(), rel);
   };
 
+  // The files to lint: the change list, the explicit args, or (neither
+  // given) the whole tree below.
+  FileList files;
+  std::set<std::string> seen;
   if (!changed_list.empty()) {
     std::ifstream in(changed_list, std::ios::binary);
     if (!in) {
@@ -156,7 +159,7 @@ int main(int argc, char** argv) {
       if (!fs::exists(p) || !HasSourceExtension(p)) {
         continue;
       }
-      add(p);
+      add(p, &files, &seen);
     }
     if (files.empty()) {
       std::printf("kk-lint: 0 file(s), 0 finding(s) (no lintable changes)\n");
@@ -172,49 +175,58 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "kk-lint: no such file: %s\n", f.c_str());
         return 2;
       }
-      add(p);
+      add(p, &files, &seen);
     }
-  } else {
-    if (!compile_commands.empty()) {
-      std::ifstream in(compile_commands, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "kk-lint: cannot read %s\n", compile_commands.c_str());
-        return 2;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      for (const std::string& f : kklint::ParseCompileCommands(buf.str())) {
-        fs::path p(f);
-        if (p.is_absolute() && fs::exists(p)) {
-          add(p);
-        }
-      }
+  }
+
+  // The tree: compile_commands translation units plus every source under
+  // the standard lint directories. Walked in every mode, because KK003 must
+  // see a container declared outside the selected files (a loop over
+  // NodeState::in_flight in one file, its declaration in another).
+  FileList tree;
+  std::set<std::string> tree_seen;
+  if (!compile_commands.empty()) {
+    std::ifstream in(compile_commands, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "kk-lint: cannot read %s\n", compile_commands.c_str());
+      return 2;
     }
-    for (const char* dir : kLintDirs) {
-      fs::path d = root / dir;
-      if (!fs::exists(d)) {
-        continue;
-      }
-      for (auto it = fs::recursive_directory_iterator(d, ec);
-           !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
-        if (it->is_regular_file() && HasSourceExtension(it->path())) {
-          add(it->path());
-        }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    for (const std::string& f : kklint::ParseCompileCommands(buf.str())) {
+      fs::path p(f);
+      if (p.is_absolute() && fs::exists(p)) {
+        add(p, &tree, &tree_seen);
       }
     }
-    if (files.empty()) {
+  }
+  for (const char* dir : kLintDirs) {
+    fs::path d = root / dir;
+    if (!fs::exists(d)) {
+      continue;
+    }
+    for (auto it = fs::recursive_directory_iterator(d, ec);
+         !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
+      if (it->is_regular_file() && HasSourceExtension(it->path())) {
+        add(it->path(), &tree, &tree_seen);
+      }
+    }
+  }
+  if (changed_list.empty() && explicit_files.empty()) {
+    if (tree.empty()) {
       std::fprintf(stderr, "kk-lint: no files to lint (bad --root or --compile-commands?)\n");
       return 2;
     }
+    files = tree;
   }
 
   std::sort(files.begin(), files.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
-  // KK003 knows every unordered container declared in the linted files, not
-  // only the ones declared in the file it checks.
+  // KK003 knows every unordered container declared in the tree, not only
+  // the ones declared in the file it checks.
   std::set<std::string> unordered_names;
-  for (const auto& [abs, rel] : files) {
+  for (const auto& [abs, rel] : tree) {
     std::string error;
     if (!kklint::AddUnorderedNamesFromFile(abs, &unordered_names, &error)) {
       std::fprintf(stderr, "kk-lint: %s\n", error.c_str());

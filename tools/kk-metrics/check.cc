@@ -192,141 +192,6 @@ void CheckHotpath(const JsonValue& doc, CheckResult* r) {
   }
 }
 
-void CheckService(const JsonValue& doc, CheckResult* r) {
-  r->kind = "service";
-  const JsonValue* config = doc.Find("config");
-  if (config == nullptr || !config->IsObject()) {
-    Fail(r, "service: missing \"config\" object");
-    return;
-  }
-  if (!RequireBool(*config, "small", r, "config") ||
-      !RequireBool(*config, "faults", r, "config") ||
-      !RequireNumber(*config, "workers_per_node", r, "config") ||
-      !RequireNumber(*config, "segments_per_vertex", r, "config") ||
-      !RequireNumber(*config, "cache_capacity", r, "config") ||
-      !RequireNumber(*config, "users", r, "config") ||
-      !RequireNumber(*config, "zipf_theta", r, "config") ||
-      !RequireNumber(*config, "graph_vertices", r, "config") ||
-      !RequireNumber(*config, "graph_edges", r, "config")) {
-    return;
-  }
-  const JsonValue* results = doc.Find("results");
-  if (results == nullptr || !results->IsObject()) {
-    Fail(r, "service: missing \"results\" object");
-    return;
-  }
-  for (const char* key :
-       {"queries", "seconds", "qps", "p50_ms", "p99_ms", "mean_ms", "cache_hit_rate",
-        "segments_stitched", "live_walks", "rejected", "peak_queue_depth", "index_segments",
-        "index_bytes", "index_build_seconds"}) {
-    if (!RequireNumber(*results, key, r, "results")) {
-      return;
-    }
-  }
-  if (results->Find("queries")->AsNumber() <= 0) {
-    Fail(r, "results: no queries served");
-    return;
-  }
-  if (results->Find("seconds")->AsNumber() < 0 || results->Find("qps")->AsNumber() < 0) {
-    Fail(r, "results: negative timing");
-    return;
-  }
-  double p50 = results->Find("p50_ms")->AsNumber();
-  double p99 = results->Find("p99_ms")->AsNumber();
-  if (p50 < 0 || p99 < 0 || p99 < p50) {
-    Fail(r, "results: latency percentiles inconsistent (need 0 <= p50 <= p99)");
-    return;
-  }
-  double hit_rate = results->Find("cache_hit_rate")->AsNumber();
-  if (hit_rate < 0.0 || hit_rate > 1.0) {
-    Fail(r, "results: cache_hit_rate outside [0, 1]");
-    return;
-  }
-}
-
-void CheckMutation(const JsonValue& doc, CheckResult* r) {
-  r->kind = "mutation";
-  const JsonValue* config = doc.Find("config");
-  if (config == nullptr || !config->IsObject()) {
-    Fail(r, "mutation: missing \"config\" object");
-    return;
-  }
-  if (!RequireBool(*config, "small", r, "config") ||
-      !RequireBool(*config, "faults", r, "config") ||
-      !RequireNumber(*config, "num_nodes", r, "config") ||
-      !RequireNumber(*config, "workers_per_node", r, "config") ||
-      !RequireNumber(*config, "merge_threshold", r, "config") ||
-      !RequireNumber(*config, "graph_vertices", r, "config") ||
-      !RequireNumber(*config, "graph_edges", r, "config")) {
-    return;
-  }
-  // Part 1: incremental-vs-rebuild update microbenchmark, one row per degree.
-  const JsonValue* updates = doc.Find("update_cost");
-  if (updates == nullptr || !updates->IsArray() || updates->AsArray().empty()) {
-    Fail(r, "mutation: missing non-empty \"update_cost\" array");
-    return;
-  }
-  for (size_t i = 0; i < updates->AsArray().size(); ++i) {
-    const JsonValue& u = updates->AsArray()[i];
-    std::string where = "update_cost[" + std::to_string(i) + "]";
-    if (!u.IsObject()) {
-      Fail(r, where + ": not an object");
-      return;
-    }
-    for (const char* key : {"degree", "updates", "incremental_ns_per_update",
-                            "rebuild_ns_per_update", "speedup"}) {
-      if (!RequireNumber(u, key, r, where)) {
-        return;
-      }
-    }
-    if (u.Find("incremental_ns_per_update")->AsNumber() < 0 ||
-        u.Find("rebuild_ns_per_update")->AsNumber() < 0) {
-      Fail(r, where + ": negative timing");
-      return;
-    }
-  }
-  // Part 2: end-to-end walk workloads under churn (static baseline, churn,
-  // and optionally churn + injected faults).
-  const JsonValue* workloads = doc.Find("workloads");
-  if (workloads == nullptr || !workloads->IsArray() || workloads->AsArray().empty()) {
-    Fail(r, "mutation: missing non-empty \"workloads\" array");
-    return;
-  }
-  for (size_t i = 0; i < workloads->AsArray().size(); ++i) {
-    const JsonValue& w = workloads->AsArray()[i];
-    std::string where = "workloads[" + std::to_string(i) + "]";
-    if (!w.IsObject()) {
-      Fail(r, where + ": not an object");
-      return;
-    }
-    if (!RequireString(w, "name", r, where)) {
-      return;
-    }
-    for (const char* key :
-         {"walkers", "seconds", "walks_per_sec", "steps_per_sec", "steps", "mutation_batches",
-          "mutations_applied", "mutations_rejected", "rows_materialized", "sampler_full_builds",
-          "sampler_incremental_updates", "merges", "recoveries"}) {
-      if (!RequireNumber(w, key, r, where)) {
-        return;
-      }
-    }
-    // Lazy-sampler and merge-attribution fields (post-format-shipped).
-    if (!OptionalNumber(w, "sampler_bucket_builds", r, where) ||
-        !OptionalNumber(w, "merge_micros", r, where)) {
-      return;
-    }
-    if (w.Find("seconds")->AsNumber() < 0 || w.Find("walks_per_sec")->AsNumber() < 0) {
-      Fail(r, where + ": negative timing");
-      return;
-    }
-    if (w.Find("mutations_applied")->AsNumber() < 0 ||
-        w.Find("mutations_rejected")->AsNumber() < 0) {
-      Fail(r, where + ": negative mutation counters");
-      return;
-    }
-  }
-}
-
 std::string FormatNumber(double v) {
   char buf[64];
   if (v == static_cast<double>(static_cast<int64_t>(v))) {
@@ -357,13 +222,9 @@ CheckResult CheckDocument(const JsonValue& doc) {
     CheckSnapshot(doc, &r);
   } else if (bench != nullptr && bench->IsString() && bench->AsString() == "hotpath") {
     CheckHotpath(doc, &r);
-  } else if (bench != nullptr && bench->IsString() && bench->AsString() == "service") {
-    CheckService(doc, &r);
-  } else if (bench != nullptr && bench->IsString() && bench->AsString() == "mutation") {
-    CheckMutation(doc, &r);
   } else {
     Fail(&r, "unrecognized document: expected kind \"kk-metrics-snapshot\" or bench "
-             "\"hotpath\" / \"service\" / \"mutation\"");
+             "\"hotpath\"");
   }
   return r;
 }
@@ -411,36 +272,6 @@ std::string Summarize(const JsonValue& doc) {
       }
       out += "\n";
     }
-  } else if (r.kind == "service") {
-    const JsonValue* results = doc.Find("results");
-    out += "service bench: " + FormatNumber(results->Find("queries")->AsNumber()) +
-           " queries, " + FormatNumber(results->Find("qps")->AsNumber()) + " qps\n";
-    out += "  latency p50 " + FormatNumber(results->Find("p50_ms")->AsNumber()) +
-           " ms, p99 " + FormatNumber(results->Find("p99_ms")->AsNumber()) + " ms, mean " +
-           FormatNumber(results->Find("mean_ms")->AsNumber()) + " ms\n";
-    out += "  cache hit rate " + FormatNumber(results->Find("cache_hit_rate")->AsNumber()) +
-           ", stitched " + FormatNumber(results->Find("segments_stitched")->AsNumber()) +
-           ", live walks " + FormatNumber(results->Find("live_walks")->AsNumber()) +
-           ", rejected " + FormatNumber(results->Find("rejected")->AsNumber()) + "\n";
-  } else if (r.kind == "mutation") {
-    const auto& updates = doc.Find("update_cost")->AsArray();
-    const auto& workloads = doc.Find("workloads")->AsArray();
-    out += "mutation bench: " + std::to_string(updates.size()) + " update-cost rows, " +
-           std::to_string(workloads.size()) + " workloads\n";
-    for (const JsonValue& u : updates) {
-      out += "  degree " + FormatNumber(u.Find("degree")->AsNumber()) + ": " +
-             FormatNumber(u.Find("incremental_ns_per_update")->AsNumber()) +
-             " ns/update incremental vs " +
-             FormatNumber(u.Find("rebuild_ns_per_update")->AsNumber()) + " ns rebuild (" +
-             FormatNumber(u.Find("speedup")->AsNumber()) + "x)\n";
-    }
-    for (const JsonValue& w : workloads) {
-      out += "  " + w.Find("name")->AsString() + ": " +
-             FormatNumber(w.Find("walks_per_sec")->AsNumber()) + " walks/s, " +
-             FormatNumber(w.Find("mutations_applied")->AsNumber()) + " mutations applied, " +
-             FormatNumber(w.Find("merges")->AsNumber()) + " merges, " +
-             FormatNumber(w.Find("recoveries")->AsNumber()) + " recoveries\n";
-    }
   } else {
     const auto& workloads = doc.Find("workloads")->AsArray();
     out += "hotpath bench: " + std::to_string(workloads.size()) + " workloads\n";
@@ -458,9 +289,9 @@ std::string Summarize(const JsonValue& doc) {
 namespace {
 
 // Flattens every numeric leaf of a document into "path -> value". Array
-// elements are keyed by their "name" (workloads) or "degree" (update_cost
-// rows) so rows pair up across documents even if ordering changes; metrics
-// snapshot entries additionally fold their labels into the path.
+// elements are keyed by their "name" (workloads, metrics) so rows pair up
+// across documents even if ordering changes; metrics snapshot entries
+// additionally fold their labels into the path.
 void FlattenNumericLeaves(const JsonValue& v, const std::string& prefix,
                           std::vector<std::pair<std::string, double>>* out) {
   if (v.IsNumber()) {
@@ -489,11 +320,6 @@ void FlattenNumericLeaves(const JsonValue& v, const std::string& prefix,
               seg += (j == 0 ? "" : ",") + obj[j].first + "=" + obj[j].second.AsString();
             }
             seg += "}";
-          }
-        } else {
-          const JsonValue* degree = arr[i].Find("degree");
-          if (degree != nullptr && degree->IsNumber()) {
-            seg = "degree_" + FormatNumber(degree->AsNumber());
           }
         }
       }
@@ -575,61 +401,6 @@ std::string DiffDocuments(const JsonValue& old_doc, const JsonValue& new_doc) {
     }
   }
   return out;
-}
-
-std::string GateRatio(const JsonValue& old_doc, const JsonValue& new_doc,
-                      const std::string& num_path, const std::string& den_path,
-                      double floor) {
-  CheckResult old_r = CheckDocument(old_doc);
-  if (!old_r.ok) {
-    return "error: baseline document invalid: " + old_r.error + "\n";
-  }
-  CheckResult new_r = CheckDocument(new_doc);
-  if (!new_r.ok) {
-    return "error: new document invalid: " + new_r.error + "\n";
-  }
-  std::vector<std::pair<std::string, double>> old_flat;
-  std::vector<std::pair<std::string, double>> new_flat;
-  FlattenNumericLeaves(old_doc, "", &old_flat);
-  FlattenNumericLeaves(new_doc, "", &new_flat);
-  auto lookup = [](const std::vector<std::pair<std::string, double>>& flat,
-                   const std::string& path, const char* which) {
-    for (const auto& [p, v] : flat) {
-      if (p == path) {
-        return std::make_pair(v, std::string());
-      }
-    }
-    return std::make_pair(0.0, "error: " + std::string(which) + " document has no metric \"" +
-                                   path + "\"\n");
-  };
-  double values[4];
-  size_t i = 0;
-  for (const auto& [doc_flat, which] :
-       {std::make_pair(&old_flat, "baseline"), std::make_pair(&new_flat, "new")}) {
-    for (const std::string& path : {num_path, den_path}) {
-      auto [v, err] = lookup(*doc_flat, path, which);
-      if (!err.empty()) {
-        return err;
-      }
-      if (v <= 0.0) {
-        return "error: metric \"" + path + "\" in " + which +
-               " document is not positive (" + FormatNumber(v) + ")\n";
-      }
-      values[i++] = v;
-    }
-  }
-  const double baseline_ratio = values[0] / values[1];
-  const double new_ratio = values[2] / values[3];
-  const double relative = new_ratio / baseline_ratio;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "%s / %s: baseline ratio %.4f, new ratio %.4f (%.2fx, floor %.2fx)\n",
-                num_path.c_str(), den_path.c_str(), baseline_ratio, new_ratio, relative,
-                floor);
-  if (relative < floor) {
-    return "error: ratio regression: " + std::string(line);
-  }
-  return line;
 }
 
 }  // namespace metrics

@@ -1,10 +1,8 @@
 // Schema validation and summarization for the repo's observability JSON.
 //
-// Four document kinds are understood (all schema_version 1):
+// Two document kinds are understood (both schema_version 1):
 //   - metrics snapshots (MetricsRegistry::ToJson, kind "kk-metrics-snapshot")
 //   - hotpath bench reports (bench_hotpath's BENCH_hotpath.json)
-//   - serving bench reports (bench_service's BENCH_service.json)
-//   - mutation bench reports (bench_mutation's BENCH_mutation.json)
 // CI runs `kk-metrics --check` over every emitted artifact so a schema drift
 // fails the build instead of silently breaking downstream consumers, and
 // `kk-metrics --diff old new` renders per-metric deltas between two valid
@@ -23,7 +21,7 @@ namespace metrics {
 
 struct CheckResult {
   bool ok = false;
-  std::string kind;   // "kk-metrics-snapshot", "hotpath", "service", "mutation"
+  std::string kind;   // "kk-metrics-snapshot" or "hotpath"
   std::string error;  // first violation, empty when ok
 };
 
@@ -39,24 +37,13 @@ std::string Summarize(const obs::JsonValue& doc);
 
 // Markdown table of per-metric deltas between two documents of the same kind
 // (baseline first). Numeric leaves are flattened to dotted paths — array
-// elements keyed by their "name"/"degree" field when present, by index
-// otherwise — so workload rows line up even if ordering changes. Metrics
-// that appear in only one document are listed as added/removed. Returns an
-// error string prefixed with "error:" if either document is invalid or the
-// kinds disagree.
+// elements keyed by their "name" field when present, by index otherwise —
+// so workload rows line up even if ordering changes. Metrics that appear in
+// only one document are listed as added/removed. Returns an error string
+// prefixed with "error:" if either document is invalid or the kinds
+// disagree.
 std::string DiffDocuments(const obs::JsonValue& old_doc,
                           const obs::JsonValue& new_doc);
-
-// Ratio gate for perf CI: computes num_path/den_path in both documents
-// (flattened-path lookup, same addressing as DiffDocuments) and fails when
-// the new ratio drops below `floor` × the baseline ratio. Normalizing by an
-// in-document denominator (e.g. churn walks/s over static walks/s) makes the
-// gate robust to the absolute speed of the CI machine. Returns a one-line
-// report; prefixed with "error:" on any failure (invalid document, missing
-// or non-positive metric, ratio below floor).
-std::string GateRatio(const obs::JsonValue& old_doc, const obs::JsonValue& new_doc,
-                      const std::string& num_path, const std::string& den_path,
-                      double floor);
 
 }  // namespace metrics
 }  // namespace knightking

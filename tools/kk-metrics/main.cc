@@ -7,16 +7,11 @@
 //   kk-metrics --diff OLD NEW    per-metric delta table (markdown) between
 //                                two same-kind documents; CI appends it to
 //                                the job summary for bench-vs-baseline runs
-//   kk-metrics --gate-ratio OLD NEW NUM_PATH DEN_PATH FLOOR
-//                                fail (exit 1) when NUM/DEN in NEW drops
-//                                below FLOOR × the same ratio in OLD; the
-//                                perf-smoke churn-throughput gate
 //
-// Accepts metrics snapshots (MetricsRegistry::ToJson) and bench reports
-// (BENCH_hotpath/BENCH_service/BENCH_mutation *.json). CI runs --check over
-// every uploaded artifact. See docs/OBSERVABILITY.md.
+// Accepts metrics snapshots (MetricsRegistry::ToJson) and bench_hotpath
+// reports (BENCH_hotpath*.json). CI runs --check over every uploaded
+// artifact. See docs/OBSERVABILITY.md.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -42,7 +37,6 @@ bool ReadFile(const std::string& path, std::string* out) {
 int Usage() {
   std::fprintf(stderr, "usage: kk-metrics [--check] FILE...\n");
   std::fprintf(stderr, "       kk-metrics --diff OLD NEW\n");
-  std::fprintf(stderr, "       kk-metrics --gate-ratio OLD NEW NUM_PATH DEN_PATH FLOOR\n");
   return 2;
 }
 
@@ -66,15 +60,12 @@ bool LoadDocument(const std::string& path, knightking::obs::JsonValue* doc) {
 int main(int argc, char** argv) {
   bool check_only = false;
   bool diff_mode = false;
-  bool gate_mode = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
       check_only = true;
     } else if (std::strcmp(argv[i], "--diff") == 0) {
       diff_mode = true;
-    } else if (std::strcmp(argv[i], "--gate-ratio") == 0) {
-      gate_mode = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       return Usage();
     } else if (argv[i][0] == '-') {
@@ -86,26 +77,6 @@ int main(int argc, char** argv) {
   }
   if (files.empty()) {
     return Usage();
-  }
-  if (gate_mode) {
-    if (check_only || diff_mode || files.size() != 5) {
-      return Usage();
-    }
-    knightking::obs::JsonValue old_doc;
-    knightking::obs::JsonValue new_doc;
-    if (!LoadDocument(files[0], &old_doc) || !LoadDocument(files[1], &new_doc)) {
-      return 1;
-    }
-    char* end = nullptr;
-    const double floor = std::strtod(files[4].c_str(), &end);
-    if (end == nullptr || *end != '\0' || floor <= 0.0) {
-      std::fprintf(stderr, "kk-metrics: --gate-ratio floor must be a positive number\n");
-      return 2;
-    }
-    std::string gate =
-        knightking::metrics::GateRatio(old_doc, new_doc, files[2], files[3], floor);
-    std::fputs(gate.c_str(), gate.rfind("error:", 0) == 0 ? stderr : stdout);
-    return gate.rfind("error:", 0) == 0 ? 1 : 0;
   }
   if (diff_mode) {
     if (check_only || files.size() != 2) {
