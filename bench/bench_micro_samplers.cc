@@ -1,14 +1,12 @@
-// Micro-benchmarks for the sampling substrates: alias table vs ITS build
-// and draw costs (the O(n) build / O(1) vs O(log n) sample trade-off of
-// §3), a single rejection trial vs a full scan per vertex degree (the
-// asymptotic claim of §4.1 at micro scale), and one edge reweight on a
-// dynamic row vs rebuilding the row's alias table.
+// Micro-benchmarks for the sampling substrates: alias table build and draw
+// costs (§3's O(n) build, O(1) sample), a single rejection trial vs a full
+// scan per vertex degree (the asymptotic claim of §4.1 at micro scale), and
+// one edge reweight on a dynamic row vs rebuilding the row's alias table.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "src/sampling/alias_table.h"
-#include "src/sampling/its.h"
 #include "src/sampling/weight_class.h"
 #include "src/util/rng.h"
 
@@ -34,16 +32,6 @@ void BM_AliasBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasBuild)->Range(8, 1 << 16);
 
-void BM_ItsBuild(benchmark::State& state) {
-  auto weights = MakeWeights(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    InverseTransformSampler its(weights);
-    benchmark::DoNotOptimize(its);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ItsBuild)->Range(8, 1 << 16);
-
 void BM_AliasSample(benchmark::State& state) {
   auto weights = MakeWeights(static_cast<size_t>(state.range(0)));
   AliasTable table(weights);
@@ -54,17 +42,6 @@ void BM_AliasSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AliasSample)->Range(8, 1 << 16);
-
-void BM_ItsSample(benchmark::State& state) {
-  auto weights = MakeWeights(static_cast<size_t>(state.range(0)));
-  InverseTransformSampler its(weights);
-  Rng rng(11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(its.Sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ItsSample)->Range(8, 1 << 16);
 
 // One rejection trial: uniform candidate + one Pd evaluation. Cost is flat
 // in the degree...

@@ -8,7 +8,6 @@
 
 #include "src/graph/delta_store.h"
 #include "src/obs/trace.h"
-#include "src/sampling/static_sampler.h"
 #include "src/sampling/weight_class.h"
 #include "src/testing/fault_injector.h"
 #include "src/util/types.h"
@@ -40,8 +39,6 @@ struct WalkEngineOptions {
   // using its worker pool.
   bool enable_light_mode = false;
   uint64_t light_mode_threshold = 4000;
-  // Static (Ps) candidate sampler strategy.
-  StaticSamplerKind sampler_kind = StaticSamplerKind::kAuto;
   // Master seed; every walker derives its own deterministic stream.
   uint64_t seed = 1;
   // Record every walker position (costs memory; excluded from timing in the

@@ -10,6 +10,7 @@
 
 #include "src/engine/engine_options.h"
 #include "src/graph/csr.h"
+#include "src/sampling/static_sampler.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 

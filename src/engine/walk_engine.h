@@ -3,8 +3,9 @@
 // Executes many walkers over a 1-D partitioned CSR graph in BSP supersteps
 // on a simulated cluster of logical nodes. The sampling core is rejection
 // sampling under a per-vertex envelope Q(v): each trial draws a candidate
-// edge from the static component Ps (alias / ITS / uniform) and a height
-// y ~ U[0, Q(v)), then accepts iff y < Pd(candidate). Optimizations
+// edge from the static component Ps (an alias table, or a uniform draw when
+// the walk is unbiased) and a height y ~ U[0, Q(v)), then accepts iff
+// y < Pd(candidate). Optimizations
 // implemented exactly as in the paper:
 //
 //   * lower-bound pre-acceptance: y < L(v) accepts without computing Pd,
@@ -131,6 +132,14 @@ class WalkEngine {
         (injector->pending_crashes() != 0 || injector->pending_batch_crashes() != 0)) {
       return "scheduled node crashes require checkpointing "
              "(set WalkEngineOptions::checkpoint_every and checkpoint_path)";
+    }
+    if (injector != nullptr && options_.num_nodes == 1 && !injector->policy().include_local) {
+      const FaultPolicy& policy = injector->policy();
+      if (policy.drop > 0.0 || policy.delay > 0.0 || policy.duplicate > 0.0) {
+        return "drop / delay / duplicate faults hit cross-node channels only, so on a "
+               "one-node engine they never fire: set FaultPolicy::include_local or run "
+               "more than one node";
+      }
     }
     if (transition.IsDynamic() && !transition.dynamic_upper_bound) {
       return "dynamic transition requires a dynamic_upper_bound callback "
@@ -574,7 +583,7 @@ class WalkEngine {
   void PrepareStatic(const typename StaticSamplerSet<EdgeData>::RowReuseFn& reuse_row = nullptr) {
     ThreadPool* pool = PreparePool();
     const Csr<EdgeData>& csr = graph_.csr();
-    sampler_.Build(csr, options_.sampler_kind, transition_->static_comp, pool, reuse_row);
+    sampler_.Build(csr, StaticSamplerKind::kAuto, transition_->static_comp, pool, reuse_row);
     if (!reuse_row) {
       upper_.assign(dynamic_ ? csr.num_vertices() : 0, 0.0f);
       lower_.assign(dynamic_ && transition_->dynamic_lower_bound ? csr.num_vertices() : 0, 0.0f);

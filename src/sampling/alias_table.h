@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "src/sampling/flat_rows.h"
 #include "src/util/check.h"
 #include "src/util/prefetch.h"
 #include "src/util/rng.h"
@@ -46,6 +45,39 @@ inline size_t SampleAliasRow(std::span<const real_t> prob, std::span<const uint3
   KK_DCHECK(n > 0);
   size_t bucket = static_cast<size_t>(rng.NextUInt64(n));
   return rng.NextFloat() < prob[bucket] ? bucket : alias[bucket];
+}
+
+// Moves every row v for which `reuse_row(v)` holds from its slice of `data`
+// under `old_offsets` to its slice under `new_offsets`, and sizes `data` to
+// the new layout: the in-place relayout of FlatAliasTables' per-edge arrays
+// when a merge moves rows to new CSR offsets. Both layouts list the same
+// vertices in the same order, and a reused row has the same length in both.
+// Other rows' new slices hold stale bytes for the caller to rebuild.
+template <typename T>
+void RelocateRows(std::vector<T>& data, std::span<const edge_index_t> old_offsets,
+                  std::span<const edge_index_t> new_offsets,
+                  const std::function<bool(vertex_id_t)>& reuse_row) {
+  const size_t num_rows = new_offsets.size() - 1;
+  data.resize(std::max<size_t>(data.size(), new_offsets.back()));
+  // Both layouts keep row order and a reused row keeps its length, so a row
+  // moving left writes below its old end and above the old end of every
+  // earlier reused row that moves right. Visited left to right, it lands on
+  // no reused row that has yet to move; rows moving right, visited right to
+  // left, mirror this.
+  T* const base = data.data();
+  for (size_t v = 0; v < num_rows; ++v) {
+    if (new_offsets[v] < old_offsets[v] && reuse_row(static_cast<vertex_id_t>(v))) {
+      std::copy(base + old_offsets[v], base + old_offsets[v + 1], base + new_offsets[v]);
+    }
+  }
+  for (size_t v = num_rows; v-- > 0;) {
+    if (new_offsets[v] > old_offsets[v] && reuse_row(static_cast<vertex_id_t>(v))) {
+      const edge_index_t len = old_offsets[v + 1] - old_offsets[v];
+      std::copy_backward(base + old_offsets[v], base + old_offsets[v + 1],
+                         base + new_offsets[v] + len);
+    }
+  }
+  data.resize(new_offsets.back());
 }
 
 }  // namespace alias_internal
@@ -101,8 +133,8 @@ class FlatAliasTables {
     const size_t num_vertices = offsets.size() - 1;
     if (reuse_row) {
       KK_CHECK(offsets_.size() == offsets.size());
-      flat_internal::RelocateRows(prob_, offsets_, offsets, reuse_row);
-      flat_internal::RelocateRows(alias_, offsets_, offsets, reuse_row);
+      alias_internal::RelocateRows(prob_, offsets_, offsets, reuse_row);
+      alias_internal::RelocateRows(alias_, offsets_, offsets, reuse_row);
     } else {
       prob_.resize(offsets.back());
       alias_.resize(offsets.back());

@@ -10,8 +10,6 @@ const char* StaticSamplerKindName(StaticSamplerKind kind) {
       return "uniform";
     case StaticSamplerKind::kAlias:
       return "alias";
-    case StaticSamplerKind::kIts:
-      return "its";
   }
   return "?";
 }

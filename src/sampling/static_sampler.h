@@ -1,8 +1,8 @@
 // Unified per-vertex static (Ps) candidate sampler.
 //
-// Wraps the three strategies of §3 behind one interface: uniform (unbiased
-// graphs: no build cost, O(1) draws), alias (O(n) build, O(1) draws — the
-// engine default for biased walks), and ITS (O(n) build, O(log n) draws).
+// Wraps the two strategies the engine uses behind one interface: uniform
+// (unbiased graphs: no build cost, O(1) draws) and alias (§3: O(n) build,
+// O(1) draws) for biased walks.
 #ifndef SRC_SAMPLING_STATIC_SAMPLER_H_
 #define SRC_SAMPLING_STATIC_SAMPLER_H_
 
@@ -12,7 +12,6 @@
 
 #include "src/graph/csr.h"
 #include "src/sampling/alias_table.h"
-#include "src/sampling/its.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -24,7 +23,6 @@ enum class StaticSamplerKind {
   kAuto = 0,     // uniform when Ps == 1 everywhere, alias otherwise
   kUniform = 1,  // requires Ps == 1
   kAlias = 2,
-  kIts = 3,
 };
 
 const char* StaticSamplerKindName(StaticSamplerKind kind);
@@ -71,11 +69,7 @@ class StaticSamplerSet {
         out[i++] = custom ? static_comp(v, adj) : StaticWeight(adj.data);
       }
     };
-    if (kind_ == StaticSamplerKind::kAlias) {
-      alias_.Build(csr.offsets(), row_weights, pool, reuse_row);
-    } else {
-      its_.Build(csr.offsets(), row_weights, pool, reuse_row);
-    }
+    alias_.Build(csr.offsets(), row_weights, pool, reuse_row);
   }
 
   StaticSamplerKind kind() const { return kind_; }
@@ -87,8 +81,6 @@ class StaticSamplerSet {
         return static_cast<vertex_id_t>(rng.NextUInt32(csr_->OutDegree(v)));
       case StaticSamplerKind::kAlias:
         return alias_.Sample(v, rng);
-      case StaticSamplerKind::kIts:
-        return its_.Sample(v, rng);
       case StaticSamplerKind::kAuto:
         break;
     }
@@ -102,8 +94,6 @@ class StaticSamplerSet {
         return static_cast<double>(csr_->OutDegree(v));
       case StaticSamplerKind::kAlias:
         return alias_.TotalWeight(v);
-      case StaticSamplerKind::kIts:
-        return its_.TotalWeight(v);
       case StaticSamplerKind::kAuto:
         break;
     }
@@ -115,8 +105,6 @@ class StaticSamplerSet {
   void Prefetch(vertex_id_t v) const {
     if (kind_ == StaticSamplerKind::kAlias) {
       alias_.Prefetch(v);
-    } else if (kind_ == StaticSamplerKind::kIts) {
-      its_.Prefetch(v);
     }
   }
 
@@ -128,8 +116,6 @@ class StaticSamplerSet {
         return 0;
       case StaticSamplerKind::kAlias:
         return alias_.MemoryBytes();
-      case StaticSamplerKind::kIts:
-        return its_.MemoryBytes();
       case StaticSamplerKind::kAuto:
         break;
     }
@@ -143,8 +129,6 @@ class StaticSamplerSet {
         return 1.0f;
       case StaticSamplerKind::kAlias:
         return alias_.MaxWeight(v);
-      case StaticSamplerKind::kIts:
-        return its_.MaxWeight(v);
       case StaticSamplerKind::kAuto:
         break;
     }
@@ -155,7 +139,6 @@ class StaticSamplerSet {
   const Csr<EdgeData>* csr_ = nullptr;
   StaticSamplerKind kind_ = StaticSamplerKind::kAuto;
   FlatAliasTables alias_;
-  FlatItsTables its_;
 };
 
 }  // namespace knightking

@@ -320,7 +320,7 @@ enum class DynamicSamplerMode : uint8_t {
   kAliasClass,
 };
 
-// Per-dirty-vertex LazyAliasRows, riding alongside the flat alias/ITS
+// Per-dirty-vertex LazyAliasRows, riding alongside the flat alias
 // tables: the engine samples a clean vertex from the static tables and a
 // dirty vertex from its overlay row. Counts full builds (first touch,
 // O(degree)) separately from bucket builds (lazy per-class

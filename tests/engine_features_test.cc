@@ -1,6 +1,6 @@
 // Tests for engine infrastructure features: the mailbox transport, parallel
-// node execution, the on_move state hook, phase timing, chunk sizing, the
-// ITS static-sampler option, path I/O, and the non-backtracking walk app.
+// node execution, the on_move state hook, phase timing, path I/O, batch
+// sort modes, and the non-backtracking walk app.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -162,32 +162,6 @@ TEST(PhaseTimesTest, StaticRunHasNoQueryPhases) {
   EXPECT_GT(t.sample, 0.0);
   EXPECT_EQ(t.respond, 0.0);
   EXPECT_EQ(t.resolve, 0.0);
-}
-
-TEST(ItsSamplerKindTest, WeightedWalkMatchesAliasDistribution) {
-  auto weighted = AssignUniformWeights(GenerateUniformDegree(60, 8, 8), 1.0f, 5.0f, 2);
-  auto csr = Csr<WeightedEdgeData>::FromEdgeList(weighted);
-  const vertex_id_t start = 4;
-  std::vector<double> weights;
-  std::map<vertex_id_t, size_t> index;
-  for (const auto& adj : csr.Neighbors(start)) {
-    index[adj.neighbor] = weights.size();
-    weights.push_back(adj.data.weight);
-  }
-  WalkEngineOptions opts;
-  opts.sampler_kind = StaticSamplerKind::kIts;
-  opts.collect_paths = true;
-  WalkEngine<WeightedEdgeData> engine(std::move(csr), opts);
-  WalkerSpec<> walkers;
-  walkers.num_walkers = 50000;
-  walkers.max_steps = 1;
-  walkers.start_vertex = [start](walker_id_t, Rng&) { return start; };
-  engine.Run(TransitionSpec<WeightedEdgeData>{}, walkers);
-  std::vector<uint64_t> counts(weights.size(), 0);
-  for (const auto& path : engine.TakePaths()) {
-    ++counts[index.at(path[1])];
-  }
-  ExpectChiSquareOk(counts, weights);
 }
 
 TEST(NoReturnWalkTest, NeverBacktracks) {

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/engine/walk_engine.h"
@@ -199,37 +200,46 @@ TEST(WalkEngineTest, DynamicFirstOrderExactness) {
   EXPECT_LT(ChiSquareVsWeights(counts, weights), Chi2Critical999(ChiSquareDof(weights)));
 }
 
-// Combined bias: Ps from weights and Pd dynamic; product must be exact.
+// Combined bias: Ps from weights and Pd dynamic; product must be exact. At
+// 1/500 of the envelope almost every walker exhausts kMaxTrialsPerStep, so
+// the first hops mostly come from FallbackScan, which must keep the law.
 TEST(WalkEngineTest, BiasedDynamicProductExactness) {
   auto weighted = AssignUniformWeights(GenerateUniformDegree(50, 8, 7), 1.0f, 5.0f, 10);
-  auto csr = Csr<WeightedEdgeData>::FromEdgeList(weighted);
   const vertex_id_t start = 21;
-  auto pd_of = [](vertex_id_t dst) { return dst % 2 == 0 ? 0.2f : 1.0f; };
-  std::vector<double> weights;
-  std::map<vertex_id_t, size_t> index;
-  for (const auto& adj : csr.Neighbors(start)) {
-    index[adj.neighbor] = weights.size();
-    weights.push_back(static_cast<double>(adj.data.weight) *
-                      static_cast<double>(pd_of(adj.neighbor)));
+  for (float pd_scale : {1.0f, 1.0f / 500.0f}) {
+    SCOPED_TRACE("pd_scale=" + std::to_string(pd_scale));
+    auto csr = Csr<WeightedEdgeData>::FromEdgeList(weighted);
+    auto pd_of = [pd_scale](vertex_id_t dst) { return pd_scale * (dst % 2 == 0 ? 0.2f : 1.0f); };
+    std::vector<double> weights;
+    std::map<vertex_id_t, size_t> index;
+    for (const auto& adj : csr.Neighbors(start)) {
+      index[adj.neighbor] = weights.size();
+      weights.push_back(static_cast<double>(adj.data.weight) *
+                        static_cast<double>(pd_of(adj.neighbor)));
+    }
+    WalkEngineOptions opts;
+    opts.collect_paths = true;
+    WeightedEngine engine(std::move(csr), opts);
+    TransitionSpec<WeightedEdgeData> transition;
+    transition.dynamic_comp = [pd_of](const Walker<>&, vertex_id_t,
+                                      const AdjUnit<WeightedEdgeData>& e,
+                                      const std::optional<uint8_t>&) { return pd_of(e.neighbor); };
+    transition.dynamic_upper_bound = [](vertex_id_t, vertex_id_t) { return 1.0f; };
+    WalkerSpec<> walkers;
+    walkers.num_walkers = 60000;
+    walkers.max_steps = 1;
+    walkers.start_vertex = [start](walker_id_t, Rng&) { return start; };
+    SamplingStats stats = engine.Run(transition, walkers);
+    if (pd_scale < 1.0f) {
+      EXPECT_GT(stats.fallback_scans, walkers.num_walkers / 2);
+    }
+    std::vector<uint64_t> counts(weights.size(), 0);
+    for (const auto& path : engine.TakePaths()) {
+      ASSERT_EQ(path.size(), 2u);
+      ++counts[index.at(path[1])];
+    }
+    EXPECT_LT(ChiSquareVsWeights(counts, weights), Chi2Critical999(ChiSquareDof(weights)));
   }
-  WalkEngineOptions opts;
-  opts.collect_paths = true;
-  WeightedEngine engine(std::move(csr), opts);
-  TransitionSpec<WeightedEdgeData> transition;
-  transition.dynamic_comp = [pd_of](const Walker<>&, vertex_id_t,
-                                    const AdjUnit<WeightedEdgeData>& e,
-                                    const std::optional<uint8_t>&) { return pd_of(e.neighbor); };
-  transition.dynamic_upper_bound = [](vertex_id_t, vertex_id_t) { return 1.0f; };
-  WalkerSpec<> walkers;
-  walkers.num_walkers = 60000;
-  walkers.max_steps = 1;
-  walkers.start_vertex = [start](walker_id_t, Rng&) { return start; };
-  engine.Run(transition, walkers);
-  std::vector<uint64_t> counts(weights.size(), 0);
-  for (const auto& path : engine.TakePaths()) {
-    ++counts[index.at(path[1])];
-  }
-  EXPECT_LT(ChiSquareVsWeights(counts, weights), Chi2Critical999(ChiSquareDof(weights)));
 }
 
 // Lower-bound pre-acceptance must not change the sampled distribution, only

@@ -213,6 +213,39 @@ TEST(FaultInjectionTest, ReorderOnly) {
       DeepWalkWalkers(150, params), policy, 8);
 }
 
+// Drop, delay and duplicate hit cross-node channels only, so on one node
+// without include_local they would silently never fire: ValidateRun refuses
+// that configuration and names the switch. Reorder alone, include_local, a
+// second node or crash faults alone keep it legal.
+TEST(FaultInjectionTest, OneNodeMessageFaultsRequireIncludeLocal) {
+  auto edges = GenerateUniformDegree(60, 6, 210);
+  const auto transition = DeepWalkTransition<EmptyEdgeData>();
+  auto validate = [&](const FaultPolicy& policy, node_rank_t num_nodes, bool crash) {
+    FaultInjector injector(policy);
+    WalkEngineOptions opts = BaseOptions(num_nodes);
+    opts.fault_injector = &injector;
+    if (crash) {
+      injector.CrashNode(0, 1);
+      opts.checkpoint_every = 1;
+      opts.checkpoint_path = "unused.ckpt";  // validation never writes it
+    }
+    WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges), opts);
+    return engine.ValidateRun(transition);
+  };
+  for (int kind = 0; kind < 3; ++kind) {
+    SCOPED_TRACE("kind=" + std::to_string(kind));
+    FaultPolicy policy;
+    (kind == 0 ? policy.drop : kind == 1 ? policy.delay : policy.duplicate) = 0.1;
+    const std::string err = validate(policy, 1, false);
+    EXPECT_NE(err.find("include_local"), std::string::npos) << err;
+    EXPECT_EQ(validate(policy, 2, false), "");
+    policy.include_local = true;
+    EXPECT_EQ(validate(policy, 1, false), "");
+  }
+  EXPECT_EQ(validate(FaultPolicy{.reorder = true}, 1, false), "");
+  EXPECT_EQ(validate(FaultPolicy{}, 1, true), "");
+}
+
 // Same fault policy seed => same fault schedule => same counters, across
 // repeat runs (the injector is content-keyed, not arrival-order-keyed).
 TEST(FaultInjectionTest, FaultScheduleIsReproducible) {

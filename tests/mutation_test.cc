@@ -734,32 +734,28 @@ MutationLog RandomChurnLog(const Csr<WeightedEdgeData>& csr) {
 TEST(IncrementalMergeTest, MergedTablesEqualAFullBuild) {
   auto edges = AssignUniformWeights(GenerateUniformDegree(300, 8, 303), 0.5f, 6.0f, 13);
   const MutationLog log = RandomChurnLog(Csr<WeightedEdgeData>::FromEdgeList(edges));
-  for (StaticSamplerKind kind : {StaticSamplerKind::kAlias, StaticSamplerKind::kIts}) {
-    SCOPED_TRACE(StaticSamplerKindName(kind));
-    WalkEngineOptions opts = BaseOptions(2, WorkersFromEnv());
-    opts.mutation_log = &log;
-    opts.merge_threshold = 4;
-    opts.sampler_kind = kind;
-    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
-    engine.Run(DeepWalkTransition<WeightedEdgeData>(),
-               DeepWalkWalkers(100, {.walk_length = 12}));
-    ASSERT_GE(engine.mutation_counters().merges, 3u);
+  WalkEngineOptions opts = BaseOptions(2, WorkersFromEnv());
+  opts.mutation_log = &log;
+  opts.merge_threshold = 4;
+  WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+  engine.Run(DeepWalkTransition<WeightedEdgeData>(), DeepWalkWalkers(100, {.walk_length = 12}));
+  ASSERT_GE(engine.mutation_counters().merges, 3u);
 
-    const StaticSamplerSet<WeightedEdgeData>& merged = engine.static_sampler();
-    StaticSamplerSet<WeightedEdgeData> fresh;
-    fresh.Build(engine.graph(), kind, nullptr);
-    EXPECT_EQ(merged.MemoryBytes(), fresh.MemoryBytes());
-    Rng merged_rng(kSeed);
-    Rng fresh_rng(kSeed);
-    for (vertex_id_t v = 0; v < engine.graph().num_vertices(); ++v) {
-      ASSERT_EQ(merged.TotalWeight(v), fresh.TotalWeight(v)) << "vertex " << v;
-      ASSERT_EQ(merged.MaxWeight(v), fresh.MaxWeight(v)) << "vertex " << v;
-      if (fresh.TotalWeight(v) <= 0.0) {
-        continue;
-      }
-      for (int i = 0; i < 32; ++i) {
-        ASSERT_EQ(merged.Sample(v, merged_rng), fresh.Sample(v, fresh_rng)) << "vertex " << v;
-      }
+  const StaticSamplerSet<WeightedEdgeData>& merged = engine.static_sampler();
+  ASSERT_EQ(merged.kind(), StaticSamplerKind::kAlias);
+  StaticSamplerSet<WeightedEdgeData> fresh;
+  fresh.Build(engine.graph(), StaticSamplerKind::kAlias, nullptr);
+  EXPECT_EQ(merged.MemoryBytes(), fresh.MemoryBytes());
+  Rng merged_rng(kSeed);
+  Rng fresh_rng(kSeed);
+  for (vertex_id_t v = 0; v < engine.graph().num_vertices(); ++v) {
+    ASSERT_EQ(merged.TotalWeight(v), fresh.TotalWeight(v)) << "vertex " << v;
+    ASSERT_EQ(merged.MaxWeight(v), fresh.MaxWeight(v)) << "vertex " << v;
+    if (fresh.TotalWeight(v) <= 0.0) {
+      continue;
+    }
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_EQ(merged.Sample(v, merged_rng), fresh.Sample(v, fresh_rng)) << "vertex " << v;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Property-based tests (parameterized sweeps) on the core invariants:
-//   * alias / ITS sampling is exact for arbitrary weight vectors,
+//   * alias sampling is exact for arbitrary weight vectors,
 //   * rejection sampling's measured trial count matches Eq. (3),
 //   * CSR faithfully round-trips arbitrary edge lists,
 //   * the partitioner covers and balances arbitrary degree sequences,
@@ -15,7 +15,6 @@
 #include "src/graph/generators.h"
 #include "src/graph/partition.h"
 #include "src/sampling/alias_table.h"
-#include "src/sampling/its.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -52,20 +51,6 @@ TEST_P(SamplerExactnessTest, AliasMatchesWeights) {
   size_t draws = std::max<size_t>(20000, n * 300);
   for (size_t i = 0; i < draws; ++i) {
     ++counts[table.Sample(rng)];
-  }
-  std::vector<double> dweights(weights.begin(), weights.end());
-  ExpectChiSquareOk(counts, dweights);
-}
-
-TEST_P(SamplerExactnessTest, ItsMatchesWeights) {
-  auto [n, seed, zero_frac] = GetParam();
-  auto weights = RandomWeights(n, seed, zero_frac);
-  InverseTransformSampler its(weights);
-  Rng rng(seed ^ 0x123456);
-  std::vector<uint64_t> counts(n, 0);
-  size_t draws = std::max<size_t>(20000, n * 300);
-  for (size_t i = 0; i < draws; ++i) {
-    ++counts[its.Sample(rng)];
   }
   std::vector<double> dweights(weights.begin(), weights.end());
   ExpectChiSquareOk(counts, dweights);

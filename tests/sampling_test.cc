@@ -1,6 +1,6 @@
-// Unit tests for src/sampling: alias tables, inverse transform sampling,
-// static sampler selection. Distribution correctness is validated with
-// chi-square tests against the target distribution.
+// Unit tests for src/sampling: alias tables and static sampler selection.
+// Distribution correctness is validated with chi-square tests against the
+// target distribution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/sampling/alias_table.h"
-#include "src/sampling/its.h"
 #include "src/sampling/static_sampler.h"
 #include "src/util/rng.h"
 
@@ -117,99 +116,6 @@ TEST(AliasTableTest, ExtremeSkew) {
   EXPECT_GT(hits, static_cast<uint64_t>(n * 0.999));
 }
 
-TEST(ItsTest, MatchesWeights) {
-  std::vector<real_t> weights = {5.0f, 1.0f, 1.0f, 3.0f};
-  InverseTransformSampler its(weights);
-  EXPECT_DOUBLE_EQ(its.total_weight(), 10.0);
-  Rng rng(6);
-  std::vector<uint64_t> counts(weights.size(), 0);
-  for (int i = 0; i < 100000; ++i) {
-    ++counts[its.Sample(rng)];
-  }
-  EXPECT_LT(ChiSquare(counts, weights), Chi2Critical999(3));
-}
-
-TEST(ItsTest, ZeroWeightNeverSampled) {
-  std::vector<real_t> weights = {0.0f, 2.0f, 0.0f, 1.0f};
-  InverseTransformSampler its(weights);
-  Rng rng(7);
-  for (int i = 0; i < 10000; ++i) {
-    size_t s = its.Sample(rng);
-    EXPECT_TRUE(s == 1 || s == 3);
-  }
-}
-
-// Trailing zero weights are the regression case for the ITS fallback: the
-// CDF's tail entries all equal the total, so a draw that lands exactly on
-// the total (or floating-point noise at the boundary) must step back to the
-// last *positive*-weight entry, never return a probability-zero index.
-TEST(ItsTest, TrailingZeroWeightsNeverSampled) {
-  std::vector<real_t> weights = {2.0f, 1.0f, 0.0f, 0.0f, 0.0f};
-  InverseTransformSampler its(weights);
-  Rng rng(21);
-  std::vector<uint64_t> counts(weights.size(), 0);
-  for (int i = 0; i < 60000; ++i) {
-    size_t s = its.Sample(rng);
-    ASSERT_LT(s, size_t{2});
-    ++counts[s];
-  }
-  EXPECT_LT(ChiSquare({counts[0], counts[1]}, {2.0f, 1.0f}), Chi2Critical999(1));
-}
-
-TEST(ItsTest, ZeroTotalWeightDies) {
-  std::vector<real_t> weights = {0.0f, 0.0f, 0.0f};
-  InverseTransformSampler its(weights);
-  Rng rng(22);
-  EXPECT_DEATH(its.Sample(rng), "");
-}
-
-TEST(FlatItsTest, TrailingZeroWeightsNeverSampled) {
-  std::vector<edge_index_t> offsets = {0, 4};
-  std::vector<real_t> weights = {3.0f, 1.0f, 0.0f, 0.0f};
-  FlatItsTables tables;
-  tables.Build(offsets, FlatRows(offsets, weights));
-  Rng rng(23);
-  std::vector<uint64_t> counts(2, 0);
-  for (int i = 0; i < 60000; ++i) {
-    size_t s = tables.Sample(0, rng);
-    ASSERT_LT(s, size_t{2});
-    ++counts[s];
-  }
-  EXPECT_LT(ChiSquare(counts, {3.0f, 1.0f}), Chi2Critical999(1));
-}
-
-TEST(FlatItsTest, ZeroTotalVertexDies) {
-  std::vector<edge_index_t> offsets = {0, 2, 2, 4};
-  std::vector<real_t> weights = {0.0f, 0.0f, 1.0f, 1.0f};
-  FlatItsTables tables;
-  tables.Build(offsets, FlatRows(offsets, weights));
-  Rng rng(24);
-  EXPECT_DEATH(tables.Sample(0, rng), "");  // all-zero weights
-  EXPECT_DEATH(tables.Sample(1, rng), "");  // no edges at all
-}
-
-TEST(ItsAndAliasAgree, SameDistribution) {
-  // Both exact methods over the same weights should produce statistically
-  // indistinguishable histograms.
-  std::vector<real_t> weights;
-  Rng wrng(8);
-  for (int i = 0; i < 50; ++i) {
-    weights.push_back(static_cast<real_t>(wrng.NextDouble() * 10));
-  }
-  AliasTable alias(weights);
-  InverseTransformSampler its(weights);
-  Rng rng_a(9);
-  Rng rng_b(10);
-  std::vector<uint64_t> ca(50, 0);
-  std::vector<uint64_t> cb(50, 0);
-  for (int i = 0; i < 200000; ++i) {
-    ++ca[alias.Sample(rng_a)];
-    ++cb[its.Sample(rng_b)];
-  }
-  EXPECT_LT(ChiSquare(ca, weights), Chi2Critical999(49));
-  EXPECT_LT(ChiSquare(cb, weights), Chi2Critical999(49));
-}
-
 TEST(FlatAliasTest, PerVertexSampling) {
   std::vector<edge_index_t> offsets = {0, 3, 3, 7};  // vertex 1 has no edges
   std::vector<real_t> weights = {1.0f, 2.0f, 1.0f, 4.0f, 1.0f, 1.0f, 2.0f};
@@ -225,21 +131,6 @@ TEST(FlatAliasTest, PerVertexSampling) {
     ++counts[tables.Sample(2, rng)];
   }
   EXPECT_LT(ChiSquare(counts, {4.0f, 1.0f, 1.0f, 2.0f}), Chi2Critical999(3));
-}
-
-TEST(FlatItsTest, PerVertexSampling) {
-  std::vector<edge_index_t> offsets = {0, 2, 5};
-  std::vector<real_t> weights = {3.0f, 1.0f, 1.0f, 1.0f, 2.0f};
-  FlatItsTables tables;
-  tables.Build(offsets, FlatRows(offsets, weights));
-  EXPECT_DOUBLE_EQ(tables.TotalWeight(0), 4.0);
-  EXPECT_DOUBLE_EQ(tables.TotalWeight(1), 4.0);
-  Rng rng(12);
-  std::vector<uint64_t> counts(2, 0);
-  for (int i = 0; i < 40000; ++i) {
-    ++counts[tables.Sample(0, rng)];
-  }
-  EXPECT_LT(ChiSquare(counts, {3.0f, 1.0f}), Chi2Critical999(1));
 }
 
 TEST(StaticSamplerTest, AutoPicksUniformForUnweighted) {
@@ -262,23 +153,20 @@ TEST(StaticSamplerTest, AutoPicksAliasForWeighted) {
 TEST(StaticSamplerTest, WeightedSamplingMatchesWeights) {
   auto weighted = AssignUniformWeights(GenerateUniformDegree(50, 8, 15), 1.0f, 5.0f, 4);
   auto csr = Csr<WeightedEdgeData>::FromEdgeList(weighted);
-  for (auto kind : {StaticSamplerKind::kAlias, StaticSamplerKind::kIts}) {
-    StaticSamplerSet<WeightedEdgeData> sampler;
-    sampler.Build(csr, kind, nullptr);
-    vertex_id_t v = 0;
-    auto neighbors = csr.Neighbors(v);
-    std::vector<real_t> weights;
-    for (const auto& adj : neighbors) {
-      weights.push_back(adj.data.weight);
-    }
-    Rng rng(16);
-    std::vector<uint64_t> counts(neighbors.size(), 0);
-    for (int i = 0; i < 100000; ++i) {
-      ++counts[sampler.Sample(v, rng)];
-    }
-    EXPECT_LT(ChiSquare(counts, weights), Chi2Critical999(weights.size() - 1))
-        << StaticSamplerKindName(kind);
+  StaticSamplerSet<WeightedEdgeData> sampler;
+  sampler.Build(csr, StaticSamplerKind::kAlias, nullptr);
+  vertex_id_t v = 0;
+  auto neighbors = csr.Neighbors(v);
+  std::vector<real_t> weights;
+  for (const auto& adj : neighbors) {
+    weights.push_back(adj.data.weight);
   }
+  Rng rng(16);
+  std::vector<uint64_t> counts(neighbors.size(), 0);
+  for (int i = 0; i < 100000; ++i) {
+    ++counts[sampler.Sample(v, rng)];
+  }
+  EXPECT_LT(ChiSquare(counts, weights), Chi2Critical999(weights.size() - 1));
 }
 
 TEST(StaticSamplerTest, CustomStaticComp) {
