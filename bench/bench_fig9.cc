@@ -24,8 +24,7 @@ double RunMode(const EdgeList<EmptyEdgeData>& list, bool light,
   opts.seed = kRunSeed;
   opts.num_nodes = 2;
   opts.workers_per_node = 8;  // the pool whose upkeep light mode avoids
-  opts.enable_light_mode = light;
-  opts.light_mode_threshold = 4000;
+  opts.light_mode_threshold = light ? 4000 : 0;
   WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(list), opts);
   constexpr int kRepeats = 5;
   double total = 0.0;

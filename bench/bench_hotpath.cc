@@ -71,7 +71,7 @@ struct WorkloadResult {
   uint64_t cross_node_messages = 0;
   uint64_t cross_node_bytes = 0;
   CheckpointStats ckpt;
-  uint64_t batch_sorts = 0;  // locality passes taken (zero under -DKK_OBS=OFF)
+  uint64_t batch_sorts = 0;  // locality passes taken
 };
 
 // Threads the bench asks the engine for, sized so it never starts more

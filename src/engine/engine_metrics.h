@@ -46,24 +46,22 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::ExportMetrics(
   out.SetGauge("engine.phase_seconds", with({{"phase", "resolve"}}), phase_times_.resolve);
   out.SetGauge("engine.phase_seconds", with({{"phase", "exchange"}}), phase_times_.exchange);
   out.SetGauge("engine.phase_seconds", with({{"phase", "mutate"}}), phase_times_.mutate);
-  if (obs::kObsEnabled) {
-    for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
-      const obs::PhaseAccumulator& acc = nodes_[n]->obs;
-      obs::Labels node_label = {{"node", std::to_string(n)}};
-      for (size_t p = 0; p < obs::kNumPhases; ++p) {
-        auto phase = static_cast<obs::Phase>(p);
-        SamplingStats stats = acc.Stats(phase);
-        stats.ForEachField([&](const char* field, uint64_t v) {
-          if (v != 0) {
-            out.AddCounter(std::string("engine.phase.") + field,
-                           with({{"node", std::to_string(n)},
-                                 {"phase", obs::PhaseName(phase)}}),
-                           v);
-          }
-        });
-      }
-      out.AddCounter("engine.batch_sorts", with(node_label), acc.batch_sorts);
+  for (node_rank_t n = 0; n < options_.num_nodes; ++n) {
+    const obs::PhaseAccumulator& acc = nodes_[n]->obs;
+    obs::Labels node_label = {{"node", std::to_string(n)}};
+    for (size_t p = 0; p < obs::kNumPhases; ++p) {
+      auto phase = static_cast<obs::Phase>(p);
+      SamplingStats stats = acc.Stats(phase);
+      stats.ForEachField([&](const char* field, uint64_t v) {
+        if (v != 0) {
+          out.AddCounter(std::string("engine.phase.") + field,
+                         with({{"node", std::to_string(n)},
+                               {"phase", obs::PhaseName(phase)}}),
+                         v);
+        }
+      });
     }
+    out.AddCounter("engine.batch_sorts", with(node_label), acc.batch_sorts);
   }
   auto export_mailbox = [&](const char* name, const auto& mail) {
     obs::Labels mail_label = {{"mailbox", name}};
@@ -71,20 +69,18 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::ExportMetrics(
                    mail->cross_node_messages());
     out.AddCounter("engine.mailbox.cross_node_bytes", with(mail_label),
                    mail->cross_node_bytes());
-    if (obs::kObsEnabled) {
-      for (node_rank_t src = 0; src < options_.num_nodes; ++src) {
-        for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
-          uint64_t messages = mail->posted_messages(src, dst);
-          if (messages == 0) {
-            continue;
-          }
-          obs::Labels channel = {{"mailbox", name},
-                                 {"src", std::to_string(src)},
-                                 {"dst", std::to_string(dst)}};
-          out.AddCounter("engine.mailbox.posted_messages", with(channel), messages);
-          out.AddCounter("engine.mailbox.posted_bytes", with(channel),
-                         mail->posted_bytes(src, dst));
+    for (node_rank_t src = 0; src < options_.num_nodes; ++src) {
+      for (node_rank_t dst = 0; dst < options_.num_nodes; ++dst) {
+        uint64_t messages = mail->posted_messages(src, dst);
+        if (messages == 0) {
+          continue;
         }
+        obs::Labels channel = {{"mailbox", name},
+                               {"src", std::to_string(src)},
+                               {"dst", std::to_string(dst)}};
+        out.AddCounter("engine.mailbox.posted_messages", with(channel), messages);
+        out.AddCounter("engine.mailbox.posted_bytes", with(channel),
+                       mail->posted_bytes(src, dst));
       }
     }
   };

@@ -35,10 +35,10 @@ struct WalkEngineOptions {
   node_rank_t num_nodes = 1;
   // Worker threads per node in full mode; 0 runs everything inline.
   size_t workers_per_node = 0;
-  // Straggler-aware scheduling (§6.2): below the threshold a node stops
-  // using its worker pool.
-  bool enable_light_mode = false;
-  uint64_t light_mode_threshold = 4000;
+  // Straggler-aware light mode (§6.2): a node whose active batch holds
+  // fewer walkers than this runs it inline instead of on its worker pool.
+  // 0 disables light mode.
+  uint64_t light_mode_threshold = 0;
   // Master seed; every walker derives its own deterministic stream.
   uint64_t seed = 1;
   // Record every walker position (costs memory; excluded from timing in the

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/counters.h"
 #include "src/testing/fault_injector.h"
 #include "src/util/check.h"
 #include "src/util/mutex.h"
@@ -38,12 +37,9 @@ class Mailbox {
       : num_nodes_(num_nodes),
         outgoing_(static_cast<size_t>(num_nodes) * num_nodes),
         incoming_(num_nodes),
-        senders_(num_nodes) {
-#if KK_OBS
-    posted_messages_.assign(outgoing_.size(), 0);
-    posted_bytes_.assign(outgoing_.size(), 0);
-#endif
-  }
+        senders_(num_nodes),
+        posted_messages_(outgoing_.size(), 0),
+        posted_bytes_(outgoing_.size(), 0) {}
 
   node_rank_t num_nodes() const { return num_nodes_; }
 
@@ -83,16 +79,6 @@ class Mailbox {
         batches[dst].clear();
       }
     }
-  }
-
-  // Single-message convenience overload. Takes the sender's lock per call,
-  // so engine hot paths (per-walker sampling, responses, acks) must
-  // accumulate into per-destination scratch and use the batch overloads
-  // above instead.
-  void Post(node_rank_t src, node_rank_t dst, const MessageT& msg) {
-    Sender& sender = senders_[src];
-    MutexLock lock(sender.m);
-    OpenChannel(sender, src, dst, 1).push_back(msg);
   }
 
   // BSP barrier: moves every posted batch into the destination inboxes.
@@ -227,34 +213,20 @@ class Mailbox {
   uint64_t cross_node_bytes() const { return cross_node_bytes_; }
 
   // Messages/bytes posted on the (src, dst) channel so far, including
-  // node-local traffic (observability layer; zero when built with
-  // -DKK_OBS=OFF). Driver-only: do not call with Posts in flight.
+  // node-local traffic (observability layer). Driver-only: do not call with
+  // Posts in flight.
   uint64_t posted_messages(node_rank_t src, node_rank_t dst) const {
-#if KK_OBS
     return posted_messages_[Channel(src, dst)];
-#else
-    (void)src;
-    (void)dst;
-    return 0;
-#endif
   }
   uint64_t posted_bytes(node_rank_t src, node_rank_t dst) const {
-#if KK_OBS
     return posted_bytes_[Channel(src, dst)];
-#else
-    (void)src;
-    (void)dst;
-    return 0;
-#endif
   }
 
   void ResetCounters() {
     cross_node_messages_ = 0;
     cross_node_bytes_ = 0;
-#if KK_OBS
     posted_messages_.assign(posted_messages_.size(), 0);
     posted_bytes_.assign(posted_bytes_.size(), 0);
-#endif
   }
 
  private:
@@ -293,10 +265,8 @@ class Mailbox {
   std::vector<MessageT>& OpenChannel(Sender& sender, node_rank_t src, node_rank_t dst,
                                      size_t count) KK_REQUIRES(sender.m) {
     const size_t ch = Channel(src, dst);
-#if KK_OBS
     posted_messages_[ch] += count;
     posted_bytes_[ch] += count * sizeof(MessageT);
-#endif
     if (outgoing_[ch].empty()) {
       sender.posted.push_back(dst);
     }
@@ -321,12 +291,10 @@ class Mailbox {
   std::vector<std::vector<MessageT>> incoming_;
   std::vector<std::vector<MessageT>> delayed_;
   std::vector<Sender> senders_;
-#if KK_OBS
   // Per-channel posted totals (observability; counted under the sender
   // lock the post already holds, so the overhead is two adds per batch).
   std::vector<uint64_t> posted_messages_;
   std::vector<uint64_t> posted_bytes_;
-#endif
   uint64_t cross_node_messages_ = 0;
   uint64_t cross_node_bytes_ = 0;
   uint64_t epoch_ = 0;

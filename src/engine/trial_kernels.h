@@ -210,7 +210,9 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::LockstepWalk(
 }
 
 // Second-order step: exactly one trial; local queries are answered
-// immediately, remote ones park the walker (see NodeState::parked).
+// immediately, the rest park the walker (see NodeState::parked). Under
+// FaultPolicy::include_local every query takes the mailbox round trip, so
+// same-node queries meet the faults too.
 template <typename EdgeData, typename WalkerState, typename QueryResponse>
 inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::SecondOrderTrial(
     WalkerT& w, node_rank_t node_rank, Scratch& scratch) {
@@ -229,7 +231,7 @@ inline void WalkEngine<EdgeData, WalkerState, QueryResponse>::SecondOrderTrial(
   }
   const AdjT& edge = graph_.NeighborsOf(w.cur)[r.candidate];
   vertex_id_t subject = edge.neighbor;
-  if (partition_.OwnerOf(r.query_target) == node_rank) {
+  if (!include_local_faults_ && partition_.OwnerOf(r.query_target) == node_rank) {
     // Local-answer fast path: the queried vertex lives here.
     scratch.stats.queries_local += 1;
     QueryResponse resp = transition_->respond_query(graph_.csr(), r.query_target, subject);

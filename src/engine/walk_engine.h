@@ -119,9 +119,9 @@ class WalkEngine {
 
   // Validates the (options, transition) combination without running anything.
   // Returns the empty string when legal, else an actionable error message.
-  // Long-lived callers (the serving layer) should reject configs here at
-  // admission time: Run() enforces exactly these rules with KK_CHECK, which
-  // aborts the process on a bad config submitted mid-flight.
+  // Run() enforces exactly these rules with KK_CHECK, which aborts the
+  // process on a bad config submitted mid-flight, so long-lived callers check
+  // here first: WalkService does at construction.
   std::string ValidateRun(const TransitionT& transition) const {
     const bool checkpointing = options_.checkpoint_every > 0;
     if (checkpointing && options_.checkpoint_path.empty()) {
@@ -374,19 +374,17 @@ class WalkEngine {
     return AssemblePaths(num_walkers_, PathLogs());
   }
 
-  // Per-node phase-attributed counters of the last Run (empty no-op type
-  // when built with -DKK_OBS=OFF; see src/obs/counters.h). Read them only
-  // between Runs.
+  // Per-node phase-attributed counters of the last Run (see
+  // src/obs/counters.h). Read them only between Runs.
   const obs::PhaseAccumulator& node_observability(node_rank_t n) const {
     return nodes_[n]->obs;
   }
 
   // Publishes the last Run's counters into `out` under the metrics-snapshot
   // schema (docs/OBSERVABILITY.md). `base_labels` is attached to every
-  // metric (e.g. {{"workload", "node2vec"}}). Aggregate counters, phase
-  // timings, and cross-node totals are always available; the per-node
-  // per-phase breakdown, locality-sort counts, and the per-destination
-  // mailbox matrix additionally require a KK_OBS build.
+  // metric (e.g. {{"workload", "node2vec"}}): aggregate counters, phase
+  // timings, cross-node totals, the per-node per-phase breakdown,
+  // locality-sort counts, and the per-channel mailbox matrix.
   void ExportMetrics(obs::MetricsRegistry& out, const obs::Labels& base_labels = {}) const;
 
  private:
@@ -488,7 +486,7 @@ class WalkEngine {
     std::unordered_map<walker_id_t, InFlightMove> in_flight;
     std::vector<PathEntry> path_log;
     SamplingStats stats;
-    // Phase-attributed counters (empty no-op type under -DKK_OBS=OFF).
+    // Phase-attributed counters (src/obs/counters.h).
     obs::PhaseAccumulator obs;
     std::unique_ptr<ThreadPool> pool;
     // One output lane per thread that runs this node's chunks: the driver
@@ -702,8 +700,7 @@ class WalkEngine {
       return;
     }
     // Light mode: run inline, skip pool coordination.
-    const bool light = options_.enable_light_mode && total < options_.light_mode_threshold;
-    if (node.pool == nullptr || light) {
+    if (node.pool == nullptr || total < options_.light_mode_threshold) {
       fn(node.lanes[0], 0, total);
       return;
     }
@@ -732,7 +729,7 @@ class WalkEngine {
       case BatchSortMode::kAuto:
         break;
     }
-    if (options_.enable_light_mode && batch_size < options_.light_mode_threshold) {
+    if (batch_size < options_.light_mode_threshold) {
       return false;  // light mode: the node runs inline on a small tail
     }
     if (batch_size < kMinSortBatch) {

@@ -1,14 +1,10 @@
-// Compile-time-gated hot-path counters for the observability layer.
+// Hot-path counters for the observability layer.
 //
 // The engine attributes its SamplingStats to BSP phases (per node) and counts
-// infrastructure events (locality sorts) through the
-// PhaseAccumulator defined here. The whole accumulator is guarded by the
-// KK_OBS compile gate: configuring with -DKK_OBS=OFF replaces it with an
-// empty struct whose methods are no-ops, so instrumented call sites compile
-// to nothing — verified by tests/obs_test.cc (std::is_empty) and by the CI
-// perf-smoke A/B run against bench/hotpath_floor.txt. Runtime-toggled
-// instrumentation (trace recording, snapshot export) lives in trace.h and
-// metrics_registry.h and is NOT gated: it costs nothing unless enabled.
+// infrastructure events (locality sorts) through the PhaseAccumulator defined
+// here. It is always compiled in: the counters ride merges the driver already
+// makes. Runtime-toggled instrumentation (trace recording, snapshot export)
+// lives in trace.h and metrics_registry.h and costs nothing unless enabled.
 //
 // See docs/OBSERVABILITY.md for the metric catalog.
 #ifndef SRC_OBS_COUNTERS_H_
@@ -19,16 +15,8 @@
 
 #include "src/sampling/stats.h"
 
-// KK_OBS is normally defined (to 0 or 1) by the build system; default ON so
-// ad-hoc compiles get full observability.
-#ifndef KK_OBS
-#define KK_OBS 1
-#endif
-
 namespace knightking {
 namespace obs {
-
-inline constexpr bool kObsEnabled = KK_OBS != 0;
 
 // The engine's BSP phases (walk_engine.h RunIteration). Exchange covers all
 // mailbox barriers: walker moves, query/response delivery, acks.
@@ -49,15 +37,13 @@ inline const char* PhaseName(Phase p) {
   return "unknown";
 }
 
-#if KK_OBS
-
 // Per-node accumulator: phase-attributed sampling counters plus
 // infrastructure events. The node's driver merges each lane's SamplingStats
 // into it once per phase, beside the node's total, so the per-phase
 // breakdown costs one extra Merge per lane and phase.
 struct PhaseAccumulator {
   SamplingStats phase_stats[kNumPhases];
-  uint64_t batch_sorts = 0;         // locality sorts over active batches
+  uint64_t batch_sorts = 0;  // locality sorts over active batches
 
   void MergeStats(Phase p, const SamplingStats& s) {
     phase_stats[static_cast<size_t>(p)].Merge(s);
@@ -75,24 +61,6 @@ struct PhaseAccumulator {
 
   void Reset() { *this = PhaseAccumulator{}; }
 };
-
-#else  // !KK_OBS
-
-// Disabled mode: an empty type with inert methods. Call sites survive
-// unchanged; the optimizer erases them (there is no state to update). The
-// counters exist as static constexpr zeros so runtime-gated readers
-// (`if (obs::kObsEnabled)`) still compile without keeping any state.
-struct PhaseAccumulator {
-  static constexpr uint64_t batch_sorts = 0;
-
-  void MergeStats(Phase, const SamplingStats&) {}
-  void CountBatchSort() {}
-  SamplingStats Stats(Phase) const { return SamplingStats{}; }
-  void Merge(const PhaseAccumulator&) {}
-  void Reset() {}
-};
-
-#endif  // KK_OBS
 
 }  // namespace obs
 }  // namespace knightking

@@ -20,8 +20,8 @@ struct SamplingStats {
   uint64_t scan_computations = 0;  // per-edge probability computations in full scans
   uint64_t pre_accepts = 0;      // trials accepted below the lower bound L(v)
   uint64_t outlier_hits = 0;     // darts landing in an outlier appendix
-  uint64_t queries_remote = 0;   // walker-to-vertex queries crossing nodes
-  uint64_t queries_local = 0;    // queries answered by the walker's own node
+  uint64_t queries_remote = 0;   // queries sent through the mailbox
+  uint64_t queries_local = 0;    // queries answered inline by the walker's own node
   uint64_t walker_moves_remote = 0;  // walker messages crossing nodes
   uint64_t fallback_scans = 0;   // exact full-scan fallbacks after repeated rejection
   uint64_t iterations = 0;       // engine supersteps executed

@@ -194,6 +194,10 @@ class WalkService {
     eopts.collect_paths = true;
     eopts.reuse_static_state = true;  // one sampler build for the service lifetime
     engine_ = std::make_unique<EngineT>(std::move(graph), eopts);
+    // Every Run below walks PPR: refuse a bad engine config here, not
+    // mid-serve inside the engine's own check.
+    const std::string config_error = engine_->ValidateRun(PprTransition<EdgeData>());
+    KK_CHECK_MSG(config_error.empty(), "%s", config_error.c_str());
   }
 
   // --- Index lifecycle --------------------------------------------------

@@ -43,7 +43,7 @@ TEST(MailboxTest, DeliversBatchesToDestination) {
 
 TEST(MailboxTest, ExchangeClearsOutgoing) {
   Mailbox<int> mail(2);
-  mail.Post(0, 1, 7);
+  mail.Post(0, 1, std::vector<int>{7});
   mail.Exchange();
   EXPECT_EQ(mail.Inbox(1).size(), 1u);
   mail.Exchange();
@@ -57,8 +57,13 @@ TEST(MailboxTest, CountsOnlyCrossNodeTraffic) {
   mail.Exchange();
   EXPECT_EQ(mail.cross_node_messages(), 3u);
   EXPECT_EQ(mail.cross_node_bytes(), 3 * sizeof(uint64_t));
+  // The per-channel totals count node-local posts too.
+  EXPECT_EQ(mail.posted_messages(0, 0), 2u);
+  EXPECT_EQ(mail.posted_messages(0, 1), 3u);
+  EXPECT_EQ(mail.posted_bytes(0, 1), 3 * sizeof(uint64_t));
   mail.ResetCounters();
   EXPECT_EQ(mail.cross_node_messages(), 0u);
+  EXPECT_EQ(mail.posted_messages(0, 1), 0u);
 }
 
 TEST(MailboxTest, ConcurrentPostsAreSafe) {
@@ -66,7 +71,8 @@ TEST(MailboxTest, ConcurrentPostsAreSafe) {
   ThreadPool pool(4);
   pool.ParallelFor(10000, 16, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      mail.Post(static_cast<node_rank_t>(i % 4), static_cast<node_rank_t>(i % 3), i);
+      mail.Post(static_cast<node_rank_t>(i % 4), static_cast<node_rank_t>(i % 3),
+                std::vector<size_t>{i});
     }
   });
   mail.Exchange();
@@ -433,7 +439,7 @@ TEST(BatchSortModeTest, PathEntriesIdenticalOverMutatedRows) {
       for (node_rank_t n = 0; n < opts.num_nodes; ++n) {
         sorts += engine.node_observability(n).batch_sorts;
       }
-      if (obs::kObsEnabled && sort == BatchSortMode::kAlways) {
+      if (sort == BatchSortMode::kAlways) {
         EXPECT_GT(sorts, 0u);
       }
       std::vector<PathEntry> entries = engine.TakePathEntries();
@@ -459,8 +465,7 @@ TEST(ParallelNodesTest, CombinedConcurrencyModesMatchSequential) {
     opts.num_nodes = 4;
     opts.parallel_nodes = mode == 1;
     opts.workers_per_node = mode == 1 ? 3 : 0;
-    opts.enable_light_mode = mode == 1;
-    opts.light_mode_threshold = 50;
+    opts.light_mode_threshold = mode == 1 ? 50 : 0;
     opts.collect_paths = true;
     opts.seed = 31;
     WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(graph), opts);

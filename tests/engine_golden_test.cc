@@ -72,8 +72,7 @@ uint64_t FlatPathsHash(EngineT& engine) {
 
 // Hashes of the counters a Run leaves behind. `core` covers the returned
 // SamplingStats, active_history() and the cross-node message and byte
-// totals; `phases` covers every node's per-phase stats, which only a KK_OBS
-// build keeps.
+// totals; `phases` covers every node's per-phase stats.
 struct CounterHashes {
   uint64_t core = 0;
   uint64_t phases = 0;
@@ -101,9 +100,7 @@ CounterHashes CountersHash(const EngineT& engine, const SamplingStats& stats) {
 
 void ExpectCounters(const CounterHashes& h, uint64_t core, uint64_t phases) {
   EXPECT_EQ(h.core, core) << std::hex << "counters hash 0x" << h.core;
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(h.phases, phases) << std::hex << "phase stats hash 0x" << h.phases;
-  }
+  EXPECT_EQ(h.phases, phases) << std::hex << "phase stats hash 0x" << h.phases;
 }
 
 EdgeMutation Ins(vertex_id_t src, vertex_id_t dst, real_t w) {

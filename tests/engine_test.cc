@@ -321,8 +321,7 @@ TEST(WalkEngineTest, PathsIdenticalAcrossThreadingModes) {
     WalkEngineOptions opts;
     opts.num_nodes = 2;
     opts.workers_per_node = mode == 0 ? 0 : 3;
-    opts.enable_light_mode = mode == 2;
-    opts.light_mode_threshold = 100;
+    opts.light_mode_threshold = mode == 2 ? 100 : 0;
     opts.collect_paths = true;
     opts.seed = 123;
     UnweightedEngine engine(Csr<EmptyEdgeData>::FromEdgeList(graph), opts);

@@ -186,9 +186,9 @@ TEST(FaultInjectionTest, RateSweepPerFaultKind) {
   }
 }
 
-// Single-node cluster with include_local: even intra-node delivery goes
-// through the fault machinery, so the protocol cannot hide behind the
-// "local messages are exempt" default.
+// Single-node cluster with include_local: walker moves, acks, state queries
+// and their answers all go through the node's faulted local channels, so the
+// protocol cannot hide behind the "local messages are exempt" default.
 TEST(FaultInjectionTest, SingleNodeWithLocalFaults) {
   auto edges = GenerateUniformDegree(150, 8, 207);
   Node2VecParams params{.p = 2.0, .q = 0.5, .walk_length = 10};
@@ -196,9 +196,13 @@ TEST(FaultInjectionTest, SingleNodeWithLocalFaults) {
   policy.drop = 0.1;
   policy.delay = 0.1;
   policy.include_local = true;
+  SamplingStats stats;
   ExpectFaultedRunMatchesFaultFree<EmptyEdgeData, EmptyWalkerState, uint8_t>(
       edges, [&](const auto& g) { return Node2VecTransition(g, params); },
-      Node2VecWalkers(100, params), policy, 1);
+      Node2VecWalkers(100, params), policy, 1, &stats);
+  EXPECT_EQ(stats.queries_local, 0u);
+  EXPECT_GT(stats.query_retries, 0u);
+  EXPECT_GT(stats.walker_retransmits, 0u);
 }
 
 // Reorder alone: inbox shuffling must be invisible in the output even

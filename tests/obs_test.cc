@@ -6,8 +6,7 @@
 // the walk itself (§4.2, Table 5's "L" column).
 //
 // The CI deterministic-sim job re-runs this binary with KK_SIM_WORKERS=4 and
-// under TSan; the KK_OBS=OFF build job re-runs it with the counters compiled
-// out (the #if !KK_OBS section asserts the accumulator is an empty type).
+// under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "src/apps/node2vec.h"
@@ -380,8 +378,6 @@ TEST(TraceRecorderTest, EngineRecordsPhaseSpansPerIteration) {
 // ---------------------------------------------------------------------------
 // Per-phase counters & merge behavior
 
-#if KK_OBS
-
 // Sums one field across every node and phase of the engine's accumulators.
 template <typename EdgeData>
 SamplingStats SumPhaseStats(const WalkEngine<EdgeData>& engine, node_rank_t num_nodes) {
@@ -439,50 +435,6 @@ TEST(PhaseCountersTest, PhaseSumsMatchAggregateAcrossWorkerCounts) {
     });
   });
 }
-
-#else  // !KK_OBS
-
-TEST(PhaseCountersTest, DisabledModeCompilesCountersOut) {
-  // The disabled accumulator must be an empty type: instrumented call sites
-  // keep compiling, but there is no state and nothing to maintain.
-  static_assert(std::is_empty_v<obs::PhaseAccumulator>,
-                "KK_OBS=OFF must strip all per-phase counter state");
-  obs::PhaseAccumulator acc;
-  SamplingStats s;
-  s.trials = 10;
-  acc.MergeStats(obs::Phase::kSample, s);
-  acc.CountBatchSort();
-  EXPECT_EQ(acc.Stats(obs::Phase::kSample).trials, 0u);
-  EXPECT_FALSE(obs::kObsEnabled);
-}
-
-TEST(PhaseCountersTest, DisabledModeMailboxCountersReadZero) {
-  auto edges = GenerateUniformDegree(60, 5, 3);
-  obs::MetricsRegistry reg;
-  WalkEngine<EmptyEdgeData> engine(Csr<EmptyEdgeData>::FromEdgeList(edges),
-                                   BaseOptions(2, WorkersFromEnv()));
-  PprParams ppr;
-  engine.Run(PprTransition<EmptyEdgeData>(), PprWalkers(40, ppr));
-  engine.ExportMetrics(reg);
-  // Aggregate counters still export; the KK_OBS-gated per-channel matrix and
-  // per-phase breakdown must not.
-  obs::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(obs::JsonValue::Parse(reg.ToJson(), &doc, &error)) << error;
-  bool saw_aggregate = false;
-  for (const obs::JsonValue& m : doc.Find("metrics")->AsArray()) {
-    const std::string& name = m.Find("name")->AsString();
-    EXPECT_EQ(name.find("engine.phase."), std::string::npos) << name;
-    EXPECT_EQ(name.find("engine.mailbox.posted_"), std::string::npos) << name;
-    if (name == "engine.steps") {
-      saw_aggregate = true;
-      EXPECT_GT(m.Find("value")->AsNumber(), 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_aggregate);
-}
-
-#endif  // KK_OBS
 
 // ---------------------------------------------------------------------------
 // Snapshot determinism

@@ -733,5 +733,15 @@ TEST(SegmentIndexCorruptionTest, LoadRefusesForeignParameters) {
   EXPECT_FALSE(different_graph.LoadIndex(path, &error));
 }
 
+// A config the engine would refuse aborts at construction, not later inside
+// BuildIndex: one node with drop faults but no FaultPolicy::include_local.
+TEST(ServiceConfigDeathTest, InvalidEngineConfigAbortsAtConstruction) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FaultInjector injector(FaultPolicy{.drop = 0.05});
+  WalkServiceOptions opts = BaseOptions(0, 0);
+  opts.engine.fault_injector = &injector;
+  EXPECT_DEATH(WalkService<EmptyEdgeData> service(TestGraph(), opts), "include_local");
+}
+
 }  // namespace
 }  // namespace knightking
